@@ -5,8 +5,12 @@ Sentinels make every closed-form quantity reachable from the shell:
 
 * ``--k optimal`` resolves to round(pi/(4 arcsin x) - 1/2), ``--k paper`` to
   ceil(pi/(4x)) (the estimate from Grover's original analysis);
-* ``--t t0`` resolves to the iterate-matching time t0, ``--t arrival`` to the
-  driver-plus-target arrival time pi/(2Ex).
+* ``--t t0`` resolves to the iterate-matching time t0/E at energy E,
+  ``--t arrival`` to the driver-plus-target arrival time pi/(2Ex).
+
+``verify`` sweeps run at unit energy and take no seed: nothing in them is
+random.  Check names and the n-range are validated by
+:func:`groverlab.verification.validate_sweep`.
 
 Exit status is 0 exactly when all requested computations succeed and, for
 ``verify``, every check passed.  Outputs carry no timestamps, so identical
@@ -19,26 +23,31 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
 from .grover import (
+    MAX_QUBITS,
     SearchProblem,
     grover_iterate,
+    grover_walk,
     iteration_count,
     make_driver,
-    success_trajectory,
     walsh_hadamard,
 )
 from .hamiltonians import (
+    PlaneCoords,
     augmented_hamiltonian,
-    grover_time,
-    hamiltonian_family,
+    commutator_hamiltonian,
+    fg_hamiltonian,
+    matching_time,
     naive_search,
+    plane_projector_complement,
 )
 from .linalg import hermitian_propagator, operator_norm
-from .verification import CHECK_NAMES, run_sweep, to_csv, to_json
+from .verification import CHECK_NAMES, run_sweep, to_csv, to_json, validate_sweep
 
 _EVOLVE_MAX_QUBITS = 10  # dense propagator plus iterate comparison
 
@@ -58,10 +67,13 @@ def _json_dumps(payload) -> str:
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        return int(lo_text), int(hi_text)
-    value = int(text)
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            return int(lo_text), int(hi_text)
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"could not parse --n {text!r}; expected e.g. 4 or 2..8") from None
     return value, value
 
 
@@ -77,17 +89,15 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
         k = int(args.k)
         if k < 0:
             parser.error("--k must be a nonnegative integer, 'optimal', or 'paper'")
-    k_trajectory = success_trajectory(problem, driver, max(k, counts.optimal, counts.paper))
+    k_max = max(k, counts.optimal, counts.paper)
+    k_trajectory = np.empty(k_max + 1)
+    for j, state in enumerate(islice(grover_walk(problem, driver), k_max + 1)):
+        k_trajectory[j] = abs(state[problem.w]) ** 2
+        if j == k:
+            probabilities = np.abs(state) ** 2  # final measurement distribution
     p_final = float(k_trajectory[k])
     p_optimal = float(k_trajectory[counts.optimal])
     p_paper = float(k_trajectory[counts.paper])
-
-    # final measurement distribution at the requested k
-    iterate = grover_iterate(driver, problem)
-    state = driver.matrix[:, 0].copy()
-    for _ in range(k):
-        state = iterate @ state
-    probabilities = np.abs(state) ** 2
     order = np.argsort(probabilities)[::-1][: min(4, problem.dim)]
     top = ";".join(f"{int(i)}:{float(probabilities[i])!r}" for i in order)
 
@@ -128,9 +138,9 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     problem = SearchProblem(n=args.n, w=args.w)
     driver = make_driver(walsh_hadamard(args.n), problem)
     sigma = driver.matrix[:, 0]
-    family = hamiltonian_family(sigma, problem.w, energy=args.energy)
-    t0 = grover_time(family.x)
-    arrival = math.pi / (2.0 * args.energy * family.x)
+    x = driver.x
+    t0 = matching_time(x, args.energy)
+    arrival = math.pi / (2.0 * args.energy * x)
     if args.t == "t0":
         t = t0
     elif args.t == "arrival":
@@ -138,21 +148,21 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     else:
         t = float(args.t)
 
-    generators = {
-        "fg": family.h_fg,
-        "commutator": family.h_commutator,
-        "augmented": augmented_hamiltonian(family),
+    builders = {
+        "fg": fg_hamiltonian,
+        "commutator": commutator_hamiltonian,
+        "augmented": augmented_hamiltonian,
     }
-    h = generators[args.hamiltonian]
-    propagator = hermitian_propagator(h, t)
+    propagator = hermitian_propagator(builders[args.hamiltonian](sigma, problem.w, args.energy), t)
     state = propagator @ sigma
     fidelity = float(abs(state[problem.w]) ** 2)
 
-    # coefficients in the non-orthogonal (start, target) basis
-    gram = np.array([[1.0, family.x], [family.x, 1.0]], dtype=complex)
+    # coefficients in the non-orthogonal (start, target) basis; they give the
+    # orthogonal projection onto the plane, so the rest is the leakage out of it
+    gram = np.array([[1.0, x], [x, 1.0]], dtype=complex)
     rhs = np.array([sigma.conj() @ state, state[problem.w]], dtype=complex)
     c_sigma, c_w = np.linalg.solve(gram, rhs)
-    out_of_plane = float(np.linalg.norm(family.projector @ state))
+    out_of_plane = float(np.linalg.norm(state - PlaneCoords(c_sigma, c_w).lift(sigma, problem.w)))
 
     power = None
     power_distance = None
@@ -160,8 +170,9 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
         ratio = t / t0
         if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 0:
             power = int(round(ratio))
-            iterate = grover_iterate(driver, problem)
-            reference = iterate + 2.0 * family.projector if args.hamiltonian == "commutator" else iterate
+            reference = grover_iterate(driver.matrix, problem)
+            if args.hamiltonian == "commutator":
+                reference += 2.0 * plane_projector_complement(sigma, problem.w)
             power_distance = float(
                 operator_norm(propagator - np.linalg.matrix_power(reference, power))
             )
@@ -172,8 +183,8 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
             "w": args.w,
             "hamiltonian": args.hamiltonian,
             "energy": args.energy,
-            "x": family.x,
-            "theta": family.theta,
+            "x": x,
+            "theta": driver.theta,
             "t0": t0,
             "arrival_time": arrival,
             "t": t,
@@ -188,7 +199,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     else:
         lines = [
             f"# n={args.n} w={args.w} hamiltonian={args.hamiltonian} energy={args.energy!r}",
-            f"# x={family.x!r} theta={family.theta!r} t0={t0!r} arrival={arrival!r}",
+            f"# x={x!r} theta={driver.theta!r} t0={t0!r} arrival={arrival!r}",
         ]
         if power is not None:
             lines.append(f"# grover_power={power} grover_power_distance={power_distance!r}")
@@ -248,21 +259,13 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         checks = list(CHECK_NAMES)
     else:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
-        unknown = [name for name in checks if name not in CHECK_NAMES]
-        if unknown:
-            parser.error(
-                f"unknown check name(s) {', '.join(unknown)}; valid names: {', '.join(CHECK_NAMES)}"
-            )
     try:
         n_range = _parse_n_range(args.n)
-    except ValueError:
-        parser.error(f"could not parse --n {args.n!r}; expected e.g. 4 or 2..8")
-    if n_range[0] > n_range[1]:
-        parser.error(f"--n range is reversed: {args.n}")
-    if n_range[0] < 2 or n_range[1] > 12:
-        parser.error(f"--n range must lie within [2, 12], got {args.n}")
+        validate_sweep(checks, n_range)
+    except ValueError as error:
+        parser.error(str(error))
 
-    result = run_sweep(checks, n_range, energy=args.energy, seed=args.seed)
+    result = run_sweep(checks, n_range)
     text = to_json(result) if args.format == "json" else to_csv(result)
     _write(text, args.out)
     failing = [row for row in result.rows if not row.passed]
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     grover = sub.add_parser("grover", help="run the digital search")
-    grover.add_argument("--n", required=True, help="qubit count (1..12)")
+    grover.add_argument("--n", required=True, help=f"qubit count (1..{MAX_QUBITS})")
     grover.add_argument("--w", default="0", help="target index (default 0)")
     grover.add_argument("--k", default="optimal", help="iteration count, 'optimal', or 'paper'")
 
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--energy", type=float, default=1.0, help="energy scale E (default 1)")
 
     naive = sub.add_parser("naive", help="run the renormalised incremental stepper")
-    naive.add_argument("--n", required=True, help="qubit count (1..12)")
+    naive.add_argument("--n", required=True, help=f"qubit count (1..{MAX_QUBITS})")
     naive.add_argument("--w", default="0", help="target index (default 0)")
     naive.add_argument("--eps", type=float, required=True, help="step size in (0, 0.1]")
     naive.add_argument("--max-steps", type=int, default=None, help="trajectory length (default: auto)")
@@ -321,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run verification sweeps")
     verify.add_argument("--checks", default="all", help=f"'all' or comma list of {', '.join(CHECK_NAMES)}")
     verify.add_argument("--n", default="2..8", help="inclusive n range, e.g. 2..8")
-    verify.add_argument("--energy", type=float, default=1.0, help="energy scale E (default 1)")
-    verify.add_argument("--seed", type=int, default=0, help="seed recorded in sweep metadata")
 
     for command in (grover, evolve, naive, verify):
         command.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "grover":
-        args.n = _int_in(parser, args.n, 1, 12, "--n")
+        args.n = _int_in(parser, args.n, 1, MAX_QUBITS, "--n")
         args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
         if args.k not in ("optimal", "paper"):
             try:
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
                 parser.error("--t must be a number, 't0', or 'arrival'")
         handler = cmd_evolve
     elif args.command == "naive":
-        args.n = _int_in(parser, args.n, 1, 12, "--n")
+        args.n = _int_in(parser, args.n, 1, MAX_QUBITS, "--n")
         args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
         if not 0.0 < args.eps <= 0.1:
             parser.error(f"--eps must lie in (0, 0.1], got {args.eps}")
@@ -363,8 +364,6 @@ def main(argv=None) -> int:
             parser.error(f"--max-steps must be positive, got {args.max_steps}")
         handler = cmd_naive
     else:
-        if args.energy <= 0:
-            parser.error(f"--energy must be positive, got {args.energy}")
         handler = cmd_verify
 
     try:

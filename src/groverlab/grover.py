@@ -13,16 +13,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
-from .linalg import basis_state, is_unitary
+from .linalg import is_unitary
 
 #: dense operators are only built up to this register size
 MAX_QUBITS = 12
 
+#: overlaps within this distance of 0 or 1 leave no (start, target) plane
 _OVERLAP_EPS = 1e-12
+
+
+def check_overlap(x: float) -> float:
+    """Return the start-target overlap x if it lies numerically inside (0, 1).
+
+    Raises :class:`OrthogonalStartError` when x is numerically zero (the start
+    state never moves toward the target) and :class:`DegeneratePlaneError`
+    when x is numerically one (the start state already is the target); every
+    plane formula divides by x or by sin(theta).
+    """
+    if x < _OVERLAP_EPS:
+        raise OrthogonalStartError(f"overlap {x!r} is not above zero; the start never reaches the target")
+    if x > 1.0 - _OVERLAP_EPS:
+        raise DegeneratePlaneError(f"overlap {x!r} is not below one; the start coincides with the target")
+    return x
+
+
+def overlap_phase(overlap: complex) -> tuple[complex, float]:
+    """Unit phase that makes ``overlap`` real positive, and its modulus x.
+
+    Multiplying a start state (or a driver) by the phase leaves every
+    projector and the iterate unchanged.  x is validated by
+    :func:`check_overlap`.
+    """
+    x = check_overlap(abs(overlap))
+    return overlap.conjugate() / x, x
 
 
 @dataclass(frozen=True)
@@ -84,65 +112,51 @@ def walsh_hadamard(n: int) -> np.ndarray:
     """The n-qubit Walsh-Hadamard transform.
 
     Entry (i, j) is 2**(-n/2) * (-1)**popcount(i & j).  Self-inverse, unitary,
-    and maps |0> to the uniform superposition.
+    and maps |0> to the uniform superposition.  The +/-1 pattern is built
+    exactly and scaled once, so every entry is exactly +/- 2**(-n/2).
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     m = np.array([[1.0]], dtype=complex)
     for _ in range(n):
         m = np.kron(m, h)
+    m *= 2.0 ** (-n / 2)
     return m
 
 
 def make_driver(matrix, problem: SearchProblem) -> DriverUnitary:
     """Phase-adjust a unitary so <w|U|0> is real positive and package it.
 
-    Raises :class:`OrthogonalStartError` when the overlap is numerically zero
-    (the iterate then never moves the start state toward the target) and
-    :class:`DegeneratePlaneError` when the start state already is the target.
+    The overlap is validated by :func:`check_overlap`.
     """
+    matrix = _driver_matrix(matrix, problem)
+    if not is_unitary(matrix):
+        raise ValueError("driver matrix is not unitary")
+    phase, x = overlap_phase(complex(matrix[problem.w, 0]))
+    return DriverUnitary(matrix=matrix * phase, x=x, theta=math.acos(x))
+
+
+def _driver_matrix(matrix, problem: SearchProblem) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (problem.dim, problem.dim):
         raise ValueError(f"driver shape {matrix.shape} does not match dimension {problem.dim}")
-    if not is_unitary(matrix):
-        raise ValueError("driver matrix is not unitary")
-    overlap = complex(matrix[problem.w, 0])
-    x = abs(overlap)
-    if x < _OVERLAP_EPS:
-        raise OrthogonalStartError(
-            f"<w|U|0> = {overlap:.3e} is numerically zero; search cannot start"
-        )
-    if x > 1.0 - _OVERLAP_EPS:
-        raise DegeneratePlaneError(
-            "start state coincides with the target; nothing to search for"
-        )
-    adjusted = matrix * (overlap.conjugate() / x)
-    return DriverUnitary(matrix=adjusted, x=x, theta=math.acos(x))
+    return matrix
 
 
-def iterate_from_unitary(matrix, problem: SearchProblem) -> np.ndarray:
-    """Search iterate ``-U I_0 U^{-1} I_w`` for a raw (not necessarily
-    phase-adjusted) unitary driver.
+def grover_iterate(matrix, problem: SearchProblem) -> np.ndarray:
+    """Search iterate G = -U I_0 U^{-1} I_w for a driver matrix U.
 
-    The two inverters are diagonal, so they are applied as column scalings of
-    their neighbours; the result is the exact four-factor product.
+    U need not be phase-adjusted: a global phase cancels between U and
+    U^{-1}.  The two inverters are diagonal, so they are applied as column
+    scalings of their neighbours; the result is the exact four-factor product.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    dim = problem.dim
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"driver shape {matrix.shape} does not match dimension {dim}")
-    d0 = np.ones(dim)
+    matrix = _driver_matrix(matrix, problem)
+    d0 = np.ones(problem.dim)
     d0[0] = -1.0
-    dw = np.ones(dim)
+    dw = np.ones(problem.dim)
     dw[problem.w] = -1.0
-    iterate = -(((matrix * d0) @ matrix.conj().T) * dw)
-    return iterate
-
-
-def grover_iterate(driver: DriverUnitary, problem: SearchProblem) -> np.ndarray:
-    """Grover's iterate G for a prepared driver.  Unitary by construction."""
-    return iterate_from_unitary(driver.matrix, problem)
+    return -(((matrix * d0) @ matrix.conj().T) * dw)
 
 
 def grover_on_plane(x: float) -> np.ndarray:
@@ -152,8 +166,7 @@ def grover_on_plane(x: float) -> np.ndarray:
 
         G|s> = (1 - 4x^2)|s> + 2x|w>,      G|w> = -2x|s> + |w>.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"overlap must lie strictly between 0 and 1, got {x}")
+    check_overlap(x)
     return np.array([[1.0 - 4.0 * x * x, -2.0 * x], [2.0 * x, 1.0]])
 
 
@@ -173,11 +186,23 @@ class IterationCount:
 
 def iteration_count(x: float) -> IterationCount:
     """Iteration counts for a given start-target overlap x."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"overlap must lie strictly between 0 and 1, got {x}")
+    check_overlap(x)
     paper = math.ceil(math.pi / (4.0 * x))
     optimal = max(0, round(math.pi / (4.0 * math.asin(x)) - 0.5))
     return IterationCount(paper=paper, optimal=optimal)
+
+
+def grover_walk(problem: SearchProblem, driver: DriverUnitary):
+    """Yield the states U|0>, G U|0>, G^2 U|0>, ... without end.
+
+    G is built once, when the second state is first asked for.
+    """
+    state = driver.matrix[:, 0].copy()
+    yield state
+    iterate = grover_iterate(driver.matrix, problem)
+    while True:
+        state = iterate @ state
+        yield state
 
 
 def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[np.ndarray, float]:
@@ -185,23 +210,13 @@ def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[n
     and the probability of measuring the target."""
     if k < 0:
         raise ValueError(f"iteration count must be nonnegative, got {k}")
-    iterate = grover_iterate(driver, problem)
-    state = driver.matrix[:, 0].copy()
-    for _ in range(k):
-        state = iterate @ state
-    success = float(abs(state[problem.w]) ** 2)
-    return state, success
+    state = next(islice(grover_walk(problem, driver), k, None))
+    return state, float(abs(state[problem.w]) ** 2)
 
 
 def success_trajectory(problem: SearchProblem, driver: DriverUnitary, k_max: int) -> np.ndarray:
     """Success probability after 0, 1, ..., k_max applications of G."""
     if k_max < 0:
         raise ValueError(f"iteration count must be nonnegative, got {k_max}")
-    iterate = grover_iterate(driver, problem)
-    state = driver.matrix[:, 0].copy()
-    probs = np.empty(k_max + 1)
-    probs[0] = abs(state[problem.w]) ** 2
-    for k in range(1, k_max + 1):
-        state = iterate @ state
-        probs[k] = abs(state[problem.w]) ** 2
-    return probs
+    states = islice(grover_walk(problem, driver), k_max + 1)
+    return np.array([abs(state[problem.w]) ** 2 for state in states])

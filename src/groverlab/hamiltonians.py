@@ -13,9 +13,14 @@ scale E (hbar = 1, so E*t is dimensionless):
 
 Here x = <w|s> is made real positive by a phase adjustment of the start
 state, theta = arccos x, and eta = E sin 2theta is the plane rotation rate of
-H.  P projects onto the orthogonal complement of the plane, where G acts as
--1 and e^{-iHt} as +1; adding (pi/t0) P to H yields an augmented generator
-whose evolution equals G on the whole space.
+H.  At energy E the iterate is matched at t0/E.  P projects onto the
+orthogonal complement of the plane, where G acts as -1 and e^{-iHt} as +1;
+adding (pi E/t0) P to H yields an augmented generator whose evolution at t0/E
+equals G on the whole space.
+
+The three generators are built by :func:`fg_hamiltonian`,
+:func:`commutator_hamiltonian` and :func:`augmented_hamiltonian`, which share
+one signature ``(sigma, w, energy)``.
 
 The incremental stepper of the last section applies I + eps*A for the integer
 matrix A = sqrt(N)(|w><u| - |u><w|) built on the uniform state |u>, moving
@@ -29,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlaneError, OrthogonalStartError
-from .grover import SearchProblem
+from .errors import DegeneratePlaneError
+from .grover import _OVERLAP_EPS, SearchProblem, check_overlap, overlap_phase
 from .linalg import basis_state, uniform_state
 
-_OVERLAP_EPS = 1e-12
 _T0_SERIES_CUTOFF = 1e-6
 
 
@@ -57,26 +61,23 @@ class PlaneCoords:
         return self.c_sigma * sigma + self.c_w * basis_state(sigma.size, w)
 
 
-def _adjusted_start(sigma, w: int) -> tuple[np.ndarray, float]:
-    """Phase-adjust the start state so <w|sigma> is real positive.
-
-    Rejects numerically orthogonal and numerically parallel configurations
-    with distinct errors; every formula below divides by x or by sin(theta).
-    """
+def _start_vector(sigma, w: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim != 1:
         raise ValueError(f"start state must be a vector, got shape {sigma.shape}")
     if not 0 <= w < sigma.size:
         raise ValueError(f"target index {w} out of range [0, {sigma.size})")
-    overlap = complex(sigma[w])
-    x = abs(overlap)
-    if x < _OVERLAP_EPS:
-        raise OrthogonalStartError(
-            f"<w|sigma> = {overlap:.3e} is numerically zero; evolution never reaches the target"
-        )
-    if x > 1.0 - _OVERLAP_EPS:
-        raise DegeneratePlaneError("start state is (numerically) parallel to the target")
-    return sigma * (overlap.conjugate() / x), x
+    return sigma
+
+
+def _plane(sigma, w: int, energy: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated inputs of a generator builder: the start state phase-adjusted
+    so <w|sigma> is real positive, the target vector, and the overlap x."""
+    if energy <= 0.0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    sigma = _start_vector(sigma, w)
+    phase, x = overlap_phase(complex(sigma[w]))
+    return sigma * phase, basis_state(sigma.size, w), x
 
 
 def fg_hamiltonian(sigma, w: int, energy: float = 1.0) -> np.ndarray:
@@ -86,10 +87,7 @@ def fg_hamiltonian(sigma, w: int, energy: float = 1.0) -> np.ndarray:
     eigenvalues are E(1 + x) and E(1 - x) with eigenvectors proportional to
     |s> + |w> and |s> - |w>.
     """
-    sigma, _ = _adjusted_start(sigma, w)
-    if energy <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    wv = basis_state(sigma.size, w)
+    sigma, wv, _ = _plane(sigma, w, energy)
     return energy * (np.outer(sigma, sigma.conj()) + np.outer(wv, wv.conj()))
 
 
@@ -101,8 +99,7 @@ def fg_evolution_closed_form(x: float, energy: float, t: float) -> PlaneCoords:
     At t = pi/(2Ex) the state is -i e^{-i pi/(2x)} |w>, i.e. the target up to
     phase.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"overlap must lie strictly between 0 and 1, got {x}")
+    check_overlap(x)
     if t < 0.0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     phase = np.exp(-1j * energy * t)
@@ -118,10 +115,7 @@ def commutator_hamiltonian(sigma, w: int, energy: float = 1.0) -> np.ndarray:
     eigenvalues are +/- E sin(2 theta) with eigenvectors given by
     :func:`h_eigensystem`, and it annihilates the orthogonal complement.
     """
-    sigma, x = _adjusted_start(sigma, w)
-    if energy <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    wv = basis_state(sigma.size, w)
+    sigma, wv, x = _plane(sigma, w, energy)
     return 2j * energy * x * (np.outer(wv, sigma.conj()) - np.outer(sigma, wv.conj()))
 
 
@@ -134,8 +128,7 @@ def h_eigensystem(x: float, energy: float = 1.0) -> tuple[tuple[float, PlaneCoor
 
     each of unit norm under the non-orthogonal plane metric.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"overlap must lie strictly between 0 and 1, got {x}")
+    check_overlap(x)
     theta = math.acos(x)
     eta = energy * math.sin(2.0 * theta)
     scale = 1.0 / (math.sqrt(2.0) * math.sin(theta))
@@ -154,8 +147,7 @@ def h_evolution_closed_form(x: float, energy: float, t: float) -> np.ndarray:
     exactly onto the target.  At t = t0 the matrix equals the plane action of
     the digital iterate G.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"overlap must lie strictly between 0 and 1, got {x}")
+    check_overlap(x)
     theta = math.acos(x)
     eta = energy * math.sin(2.0 * theta)
     s = math.sin(theta)
@@ -176,14 +168,19 @@ def grover_time(x: float) -> float:
     Evaluated from the arccos form for x >= 1e-6; below that the series
     1 + (2/3) x^2 is used to dodge the cancellation in pi - 2 arccos x.
     """
-    if x < _OVERLAP_EPS:
-        raise OrthogonalStartError(f"overlap {x} is numerically zero; t0 diverges")
-    if x > 1.0 - _OVERLAP_EPS:
-        raise DegeneratePlaneError(f"overlap {x} is numerically one; sin(2 theta) vanishes")
+    check_overlap(x)
     if x < _T0_SERIES_CUTOFF:
         return t0_series(x)
     theta = math.acos(x)
     return (math.pi - 2.0 * theta) / math.sin(2.0 * theta)
+
+
+def matching_time(x: float, energy: float) -> float:
+    """Time t0/E at which e^{-iHt} reproduces one digital iterate at energy E.
+
+    H scales with E, so the unit-energy time :func:`grover_time` shrinks by E.
+    """
+    return grover_time(x) / energy
 
 
 def t0_series(x: float) -> float:
@@ -202,11 +199,7 @@ def plane_projector_complement(sigma, w: int) -> np.ndarray:
     Idempotent, hermitian, annihilates both spanning states, and has trace
     N - 2.
     """
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim != 1:
-        raise ValueError(f"start state must be a vector, got shape {sigma.shape}")
-    if not 0 <= w < sigma.size:
-        raise ValueError(f"target index {w} out of range [0, {sigma.size})")
+    sigma = _start_vector(sigma, w)
     wv = basis_state(sigma.size, w)
     residual = sigma - sigma[w] * wv
     residual_norm = np.linalg.norm(residual)
@@ -216,78 +209,17 @@ def plane_projector_complement(sigma, w: int) -> np.ndarray:
     return np.eye(sigma.size, dtype=complex) - np.outer(wv, wv.conj()) - np.outer(u, u.conj())
 
 
-@dataclass(frozen=True)
-class HamiltonianFamily:
-    """All generators for one (start state, target, energy) configuration.
+def augmented_hamiltonian(sigma, w: int, energy: float = 1.0) -> np.ndarray:
+    """Generator H + (pi E/t0) P whose evolution at t0/E equals G on the whole space.
 
-    Members are computed eagerly at construction and marked read-only, so a
-    family can be shared freely across threads.  ``generator`` is the integer
-    stepper matrix A and is only defined for the uniform start state (None
-    otherwise).
+    On the plane P vanishes, so the action is that of the commutator
+    generator H; on the complement the added term contributes the phase
+    e^{-i pi} = -1 that G applies there.
     """
-
-    sigma: np.ndarray
-    w: int
-    energy: float
-    x: float
-    theta: float
-    eta: float
-    h_target: np.ndarray
-    h_driver: np.ndarray
-    h_fg: np.ndarray
-    h_commutator: np.ndarray
-    projector: np.ndarray
-    h_augmented: np.ndarray
-    generator: np.ndarray | None
-
-
-def hamiltonian_family(sigma, w: int, energy: float = 1.0) -> HamiltonianFamily:
-    """Build the full :class:`HamiltonianFamily` for a start state and target."""
-    if energy <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    adjusted, x = _adjusted_start(sigma, w)
-    theta = math.acos(x)
-    eta = energy * math.sin(2.0 * theta)
-    wv = basis_state(adjusted.size, w)
-    h_target = energy * np.outer(wv, wv.conj())
-    h_driver = energy * np.outer(adjusted, adjusted.conj())
-    h_fg = h_target + h_driver
-    h_comm = commutator_hamiltonian(adjusted, w, energy)
-    projector = plane_projector_complement(adjusted, w)
-    h_augmented = h_comm + (math.pi / grover_time(x)) * projector
-
-    generator = None
-    n = adjusted.size.bit_length() - 1
-    if adjusted.size == 2**n and np.allclose(adjusted, uniform_state(n), atol=_OVERLAP_EPS):
-        generator = naive_generator(SearchProblem(n=n, w=w))
-
-    members = (adjusted, h_target, h_driver, h_fg, h_comm, projector, h_augmented)
-    for array in members + ((generator,) if generator is not None else ()):
-        array.setflags(write=False)
-    return HamiltonianFamily(
-        sigma=adjusted,
-        w=w,
-        energy=energy,
-        x=x,
-        theta=theta,
-        eta=eta,
-        h_target=h_target,
-        h_driver=h_driver,
-        h_fg=h_fg,
-        h_commutator=h_comm,
-        projector=projector,
-        h_augmented=h_augmented,
-        generator=generator,
-    )
-
-
-def augmented_hamiltonian(family: HamiltonianFamily) -> np.ndarray:
-    """Generator H + (pi/t0) P whose evolution equals G on the whole space.
-
-    On the plane P vanishes, so the action is that of H; on the complement the
-    added term contributes the phase e^{-i pi} = -1 that G applies there.
-    """
-    return family.h_commutator + (math.pi / grover_time(family.x)) * family.projector
+    _, _, x = _plane(sigma, w, energy)
+    h = commutator_hamiltonian(sigma, w, energy)
+    h += (math.pi / matching_time(x, energy)) * plane_projector_complement(sigma, w)
+    return h
 
 
 def naive_generator(problem: SearchProblem) -> np.ndarray:

@@ -25,8 +25,8 @@ overlap x = 2**(-n/2) does not depend on the target):
     full-state match against -i e^{-i pi/(2x)} |w>.
 
 Rows are plain data: ``passed`` is always recomputable as
-|measured - predicted| <= tolerance.  Sweeps are deterministic; the seed is
-recorded in the metadata for reproducibility of the emitted files.
+|measured - predicted| <= tolerance.  Sweeps are deterministic: nothing in
+them is random, and all run at unit energy.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .grover import SearchProblem, grover_iterate, make_driver, walsh_hadamard
+from .grover import MAX_QUBITS, SearchProblem, grover_iterate, make_driver, walsh_hadamard
 from .hamiltonians import (
     commutator_hamiltonian,
     fg_hamiltonian,
     grover_time,
-    hamiltonian_family,
     plane_projector_complement,
 )
-from .linalg import apply_exponential, basis_state, hermitian_propagator, operator_norm
+from .linalg import apply_exponential, basis_state, hermitian_propagator, operator_norm, uniform_state
 
 CHECK_NAMES = ("theorem_main", "norm_gap", "corollary", "fg_arrival")
 
@@ -107,7 +106,6 @@ class SweepResult:
     """Ordered check rows plus reproducibility metadata."""
 
     rows: tuple[CheckReport, ...]
-    seed: int
     timestamp: str
     version: str
 
@@ -123,10 +121,19 @@ def _require_n(check: str, n: int) -> None:
 
 
 def _uniform_setup(n: int):
-    """Walsh-Hadamard driver, target N-1, unit energy."""
+    """Walsh-Hadamard driver, target N-1."""
     problem = SearchProblem(n=n, w=2**n - 1)
     driver = make_driver(walsh_hadamard(n), problem)
     return problem, driver
+
+
+def _commutator_setup(n: int):
+    """Unit-energy commutator generator H and the reference G + 2P."""
+    problem, driver = _uniform_setup(n)
+    sigma = driver.matrix[:, 0]
+    iterate = grover_iterate(driver.matrix, problem)
+    h = commutator_hamiltonian(sigma, problem.w)
+    return driver.x, h, iterate, iterate + 2.0 * plane_projector_complement(sigma, problem.w)
 
 
 def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, CheckReport]:
@@ -137,33 +144,20 @@ def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, C
     control that must break the match.
     """
     _require_n("theorem_main", n)
-    problem, driver = _uniform_setup(n)
-    family = hamiltonian_family(driver.matrix[:, 0], problem.w, energy=1.0)
-    iterate = grover_iterate(driver, problem)
-    target = iterate + 2.0 * family.projector
-    t0 = grover_time(family.x)
-    t = time_scale * t0
-    gap_once = operator_norm(hermitian_propagator(family.h_commutator, t) - target)
-    gap_twice = operator_norm(hermitian_propagator(family.h_commutator, 2.0 * t) - iterate @ iterate)
-    once = CheckReport.from_measurement(
-        "theorem_main_iterate", n, family.x, t, gap_once, 0.0, _EXACT_TOL
-    )
-    twice = CheckReport.from_measurement(
-        "theorem_main_square", n, family.x, 2.0 * t, gap_twice, 0.0, _EXACT_TOL
-    )
+    x, h, iterate, target = _commutator_setup(n)
+    t = time_scale * grover_time(x)
+    gap_once = operator_norm(hermitian_propagator(h, t) - target)
+    gap_twice = operator_norm(hermitian_propagator(h, 2.0 * t) - iterate @ iterate)
+    once = CheckReport.from_measurement("theorem_main_iterate", n, x, t, gap_once, 0.0, _EXACT_TOL)
+    twice = CheckReport.from_measurement("theorem_main_square", n, x, 2.0 * t, gap_twice, 0.0, _EXACT_TOL)
     return once, twice
 
 
 def norm_gap_vs_prediction(n: int) -> CheckReport:
     """Gap |e^{-iH} - (G + 2P)| against the (2/3) x^3 sqrt(1-x^2) estimate."""
     _require_n("norm_gap", n)
-    problem, driver = _uniform_setup(n)
-    family = hamiltonian_family(driver.matrix[:, 0], problem.w, energy=1.0)
-    iterate = grover_iterate(driver, problem)
-    measured = operator_norm(
-        hermitian_propagator(family.h_commutator, 1.0) - (iterate + 2.0 * family.projector)
-    )
-    x = family.x
+    x, h, _, target = _commutator_setup(n)
+    measured = operator_norm(hermitian_propagator(h, 1.0) - target)
     predicted = (2.0 / 3.0) * x**3 * math.sqrt(1.0 - x * x)
     return CheckReport.from_measurement(
         "norm_gap", n, x, grover_time(x), measured, predicted, 5.0 * x**5
@@ -180,11 +174,11 @@ def verify_corollary(n: int, t: float | None = None) -> CheckReport:
     _require_n("corollary", n)
     dim = 2**n
     w = dim - 1
-    sigma = np.full(dim, 2.0 ** (-n / 2), dtype=complex)
-    x = float(2.0 ** (-n / 2))
+    sigma = uniform_state(n)
+    x = float(sigma[w].real)
     if t is None:
         t = math.pi / 4.0 * math.sqrt(dim)
-    h = commutator_hamiltonian(sigma, w, energy=1.0)
+    h = commutator_hamiltonian(sigma, w)
     state = apply_exponential(-1j * t * h, sigma)
     measured = float(np.linalg.norm(state - basis_state(dim, w)))
     return CheckReport.from_measurement("corollary", n, x, t, measured, 0.0, x)
@@ -217,21 +211,16 @@ def verify_fg_arrival(n: int, energy: float = 1.0, time_scale: float = 1.0) -> t
 
 
 _CHECK_RUNNERS = {
-    "theorem_main": lambda n, energy: verify_theorem_main(n),
-    "norm_gap": lambda n, energy: (norm_gap_vs_prediction(n),),
-    "corollary": lambda n, energy: (verify_corollary(n),),
-    "fg_arrival": lambda n, energy: verify_fg_arrival(n, energy),
+    "theorem_main": verify_theorem_main,
+    "norm_gap": lambda n: (norm_gap_vs_prediction(n),),
+    "corollary": lambda n: (verify_corollary(n),),
+    "fg_arrival": verify_fg_arrival,
 }
 
 
-def run_sweep(checks, n_range: tuple[int, int], energy: float = 1.0, seed: int = 0) -> SweepResult:
-    """Run the named checks over an inclusive n-range.
-
-    Cells outside a check's supported range (see :data:`CHECK_RANGES`) are
-    skipped, so mixed-range sweeps remain usable.  Unknown names raise with
-    the list of valid ones.  Rows come back sorted by (check_name, n).
-    """
-    checks = list(checks)
+def validate_sweep(checks, n_range: tuple[int, int]) -> None:
+    """Reject unknown check names (listing the valid ones) and an n-range that
+    is reversed or leaves [2, MAX_QUBITS]."""
     unknown = [name for name in checks if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(
@@ -240,17 +229,28 @@ def run_sweep(checks, n_range: tuple[int, int], energy: float = 1.0, seed: int =
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"n-range is reversed: {lo}..{hi}")
-    if lo < 2 or hi > 12:
-        raise ValueError(f"n-range must lie within [2, 12], got {lo}..{hi}")
+    if lo < 2 or hi > MAX_QUBITS:
+        raise ValueError(f"n-range must lie within [2, {MAX_QUBITS}], got {lo}..{hi}")
+
+
+def run_sweep(checks, n_range: tuple[int, int]) -> SweepResult:
+    """Run the named checks over an inclusive n-range.
+
+    The request is checked by :func:`validate_sweep`.  Cells outside a check's
+    supported range (see :data:`CHECK_RANGES`) are skipped, so mixed-range
+    sweeps remain usable.  Rows come back sorted by (check_name, n).
+    """
+    checks = list(checks)
+    validate_sweep(checks, n_range)
+    lo, hi = n_range
     rows: list[CheckReport] = []
     for name in checks:
         clo, chi = CHECK_RANGES[name]
         for n in range(max(lo, clo), min(hi, chi) + 1):
-            rows.extend(_CHECK_RUNNERS[name](n, energy))
+            rows.extend(_CHECK_RUNNERS[name](n))
     rows.sort(key=lambda row: (row.check_name, row.n))
     return SweepResult(
         rows=tuple(rows),
-        seed=seed,
         timestamp=datetime.now(timezone.utc).isoformat(),
         version=__version__,
     )
@@ -288,10 +288,9 @@ def to_csv(result: SweepResult) -> str:
 
 
 def to_json(result: SweepResult) -> str:
-    """Render rows plus metadata (seed, timestamp, tool version) as JSON."""
+    """Render rows plus metadata (timestamp, tool version) as JSON."""
     payload = {
         "metadata": {
-            "seed": result.seed,
             "timestamp": result.timestamp,
             "version": result.version,
         },

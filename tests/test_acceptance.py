@@ -25,12 +25,14 @@ from groverlab.grover import (
 )
 from groverlab.hamiltonians import (
     augmented_hamiltonian,
+    commutator_hamiltonian,
     fg_evolution_closed_form,
+    fg_hamiltonian,
     grover_time,
     h_evolution_closed_form,
-    hamiltonian_family,
     naive_generator,
     naive_search,
+    plane_projector_complement,
     t0_series,
 )
 from groverlab.linalg import (
@@ -55,8 +57,7 @@ def report(index: int, ok: bool, detail: str) -> None:
 def uniform_setup(n: int):
     problem = SearchProblem(n=n, w=2**n - 1)
     driver = make_driver(walsh_hadamard(n), problem)
-    family = hamiltonian_family(driver.matrix[:, 0], problem.w, energy=1.0)
-    return problem, driver, family
+    return problem, driver, driver.matrix[:, 0]
 
 
 def eigh_states(h: np.ndarray, start: np.ndarray, times) -> list[np.ndarray]:
@@ -82,10 +83,10 @@ def test_criterion_01_iterate_exactness():
 def test_criterion_02_augmented_generator():
     worst = 0.0
     for n in range(2, 9):
-        problem, driver, family = uniform_setup(n)
-        iterate = grover_iterate(driver, problem)
+        problem, driver, sigma = uniform_setup(n)
+        iterate = grover_iterate(driver.matrix, problem)
         propagator_gap = operator_norm(
-            matrix_exponential(-1j * grover_time(family.x) * augmented_hamiltonian(family))
+            matrix_exponential(-1j * grover_time(driver.x) * augmented_hamiltonian(sigma, problem.w))
             - iterate
         )
         worst = max(worst, propagator_gap)
@@ -159,20 +160,21 @@ def test_criterion_05_corollary_scaling():
 def test_criterion_06_closed_form_vs_dense():
     worst = 0.0
     for n in range(2, 11):
-        problem, driver, family = uniform_setup(n)
-        x, w = family.x, problem.w
-        sigma = family.sigma
+        problem, driver, sigma = uniform_setup(n)
+        x, w = driver.x, problem.w
         wv = basis_state(problem.dim, w)
-        theta = family.theta
+        theta = driver.theta
+        eta = math.sin(2.0 * theta)
+        h_commutator = commutator_hamiltonian(sigma, w)
 
         fg_times = np.linspace(0.0, 2.5 * math.pi / (2.0 * x), 20)
-        for t, dense in zip(fg_times, eigh_states(family.h_fg, sigma, fg_times)):
+        for t, dense in zip(fg_times, eigh_states(fg_hamiltonian(sigma, w), sigma, fg_times)):
             coords = fg_evolution_closed_form(x, 1.0, float(t))
             worst = max(worst, float(np.linalg.norm(coords.lift(sigma, w) - dense)))
 
-        h_times = np.linspace(0.0, 2.5 * theta / family.eta, 20)
-        dense_sigma = eigh_states(family.h_commutator, sigma, h_times)
-        dense_target = eigh_states(family.h_commutator, wv, h_times)
+        h_times = np.linspace(0.0, 2.5 * theta / eta, 20)
+        dense_sigma = eigh_states(h_commutator, sigma, h_times)
+        dense_target = eigh_states(h_commutator, wv, h_times)
         for i, t in enumerate(h_times):
             propagator = h_evolution_closed_form(x, 1.0, float(t))
             lifted_sigma = propagator[0, 0] * sigma + propagator[1, 0] * wv
@@ -210,7 +212,7 @@ def test_criterion_08_stepper_consistency():
         x = driver.x
         eps = 4.0 * grover_time(x) * x / math.sqrt(problem.dim)
         generator = naive_generator(problem)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         worst = max(worst, operator_norm(matrix_exponential(eps * generator) - iterate @ iterate))
 
     result = naive_search(SearchProblem(n=2, w=1), eps=0.01, max_steps=91)
@@ -235,18 +237,20 @@ def test_criterion_10_property_battery():
     failures = []
 
     for n in (2, 3, 4):
-        problem, driver, family = uniform_setup(n)
-        iterate = grover_iterate(driver, problem)
-        t0 = grover_time(family.x)
-        eps = 4.0 * t0 * family.x / math.sqrt(problem.dim)
+        problem, driver, sigma = uniform_setup(n)
+        x, w = driver.x, problem.w
+        iterate = grover_iterate(driver.matrix, problem)
+        t0 = grover_time(x)
+        eps = 4.0 * t0 * x / math.sqrt(problem.dim)
+        h = commutator_hamiltonian(sigma, w)
         unitaries = {
             "walsh_hadamard": walsh_hadamard(n),
             "driver": driver.matrix,
             "iterate": iterate,
-            "commutator_propagator": matrix_exponential(-1j * t0 * family.h_commutator),
-            "augmented_propagator": matrix_exponential(-1j * t0 * family.h_augmented),
+            "commutator_propagator": matrix_exponential(-1j * t0 * h),
+            "augmented_propagator": matrix_exponential(-1j * t0 * augmented_hamiltonian(sigma, w)),
             "fg_propagator": matrix_exponential(
-                -1j * (math.pi / (2.0 * family.x)) * family.h_fg
+                -1j * (math.pi / (2.0 * x)) * fg_hamiltonian(sigma, w)
             ),
             "stepper_exponential": matrix_exponential(eps * naive_generator(problem)),
         }
@@ -254,7 +258,6 @@ def test_criterion_10_property_battery():
             if not is_unitary(matrix, atol=1e-10):
                 failures.append(f"{name} not unitary at n={n}")
 
-        h = family.h_commutator
         if np.max(np.abs(h - h.conj().T)) > 1e-13:
             failures.append(f"commutator generator not hermitian at n={n}")
         if abs(np.trace(h)) > 1e-13:
@@ -265,9 +268,10 @@ def test_criterion_10_property_battery():
             failures.append(f"stepper generator not real skew-symmetric at n={n}")
 
         # evolution never leaves the plane
-        grid = np.linspace(0.0, 3.0 * family.theta / family.eta, 20)
-        for t, state in zip(grid, eigh_states(h, family.sigma, grid)):
-            if np.linalg.norm(family.projector @ state) > 1e-10:
+        grid = np.linspace(0.0, 3.0 * driver.theta / math.sin(2.0 * driver.theta), 20)
+        projector = plane_projector_complement(sigma, w)
+        for t, state in zip(grid, eigh_states(h, sigma, grid)):
+            if np.linalg.norm(projector @ state) > 1e-10:
                 failures.append(f"evolution left the plane at n={n}, t={t:.3f}")
                 break
 

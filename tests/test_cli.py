@@ -5,6 +5,10 @@ import pytest
 from groverlab.cli import main
 
 
+#: t0 = 2 pi / (3 sqrt 3) at x = 1/2 (two qubits)
+T0_HALF_OVERLAP = 1.2091995761561452
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -66,18 +70,27 @@ class TestEvolveCommand:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-10)  # fidelity
 
     def test_commutator_t0_matches_iterate_plus_projector(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "evolve", "--n", "2", "--hamiltonian", "commutator", "--t", "t0"
-        )
-        assert code == 0
-        assert float(comment_value(out, "grover_power_distance")) < 1e-9
+        for energy in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "evolve", "--n", "2", "--hamiltonian", "commutator", "--t", "t0",
+                "--energy", energy,
+            )
+            assert code == 0
+            t = float(out.strip().splitlines()[-1].split(",")[0])
+            assert t == pytest.approx(T0_HALF_OVERLAP / float(energy), rel=1e-12)
+            assert comment_value(out, "grover_power") == "1"
+            assert float(comment_value(out, "grover_power_distance")) < 1e-9
 
     def test_augmented_t0_matches_iterate(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "evolve", "--n", "2", "--hamiltonian", "augmented", "--t", "t0"
-        )
-        assert code == 0
-        assert float(comment_value(out, "grover_power_distance")) < 1e-9
+        for energy in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "evolve", "--n", "2", "--hamiltonian", "augmented", "--t", "t0",
+                "--energy", energy,
+            )
+            assert code == 0
+            assert float(comment_value(out, "t0")) == pytest.approx(T0_HALF_OVERLAP / float(energy), rel=1e-12)
+            assert comment_value(out, "grover_power") == "1"
+            assert float(comment_value(out, "grover_power_distance")) < 1e-9
 
     def test_json_fields(self, capsys):
         code, out, _ = run_cli(
@@ -161,6 +174,12 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         for name in ("theorem_main", "norm_gap", "corollary", "fg_arrival"):
             assert name in err
+
+    @pytest.mark.parametrize("option", [("--seed", "3"), ("--energy", "2")])
+    def test_removed_options_are_usage_errors(self, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--checks", "theorem_main", "--n", "2", *option])
+        assert excinfo.value.code == 2
 
     def test_reversed_range_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,7 +9,6 @@ from groverlab.grover import (
     SearchProblem,
     grover_iterate,
     grover_on_plane,
-    iterate_from_unitary,
     iteration_count,
     make_driver,
     oracle_inverter,
@@ -105,6 +104,11 @@ class TestMakeDriver:
             assert driver.theta == pytest.approx(math.acos(2 ** (-n / 2)), abs=1e-12)
             assert math.cos(driver.theta) == pytest.approx(driver.x, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_uniform_overlap_is_exact(self, n):
+        _, driver = uniform_driver(n, w=2**n - 1)
+        assert driver.x == 2 ** (-n / 2)
+
     def test_negative_overlap_gets_phase_flipped(self):
         problem = SearchProblem(n=2, w=1)
         driver = make_driver(-walsh_hadamard(2), problem)
@@ -136,7 +140,7 @@ class TestMakeDriver:
                 continue
             adjusted = make_driver(raw, problem)
             gap = operator_norm(
-                iterate_from_unitary(raw, problem) - grover_iterate(adjusted, problem)
+                grover_iterate(raw, problem) - grover_iterate(adjusted.matrix, problem)
             )
             assert gap < 1e-12
 
@@ -146,18 +150,18 @@ class TestGroverIterate:
         # x = 1/2 makes 1 - 4x^2 = 0, so G psi = |w> exactly
         for w in range(4):
             problem, driver = uniform_driver(2, w)
-            iterate = grover_iterate(driver, problem)
+            iterate = grover_iterate(driver.matrix, problem)
             result = iterate @ uniform_state(2)
             np.testing.assert_allclose(result, np.eye(4)[:, w], atol=1e-12)
 
     def test_unitary(self):
         problem, driver = uniform_driver(4, 11)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         assert is_unitary(iterate, atol=1e-12)
 
     def test_acts_as_minus_identity_off_the_plane(self, rng):
         problem, driver = uniform_driver(3, 4)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         projector = plane_projector_complement(driver.matrix[:, 0], 4)
         alpha = projector @ (rng.normal(size=8) + 1j * rng.normal(size=8))
         alpha = alpha / np.linalg.norm(alpha)
@@ -166,7 +170,7 @@ class TestGroverIterate:
     @pytest.mark.parametrize("n,w", [(2, 3), (3, 0), (4, 9)])
     def test_dyadic_expansion(self, n, w):
         problem, driver = uniform_driver(n, w)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         sigma = driver.matrix[:, 0]
         wv = np.eye(2**n)[:, w].astype(complex)
         x = driver.x
@@ -180,7 +184,7 @@ class TestGroverIterate:
 
     def test_plane_is_invariant(self):
         problem, driver = uniform_driver(3, 6)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         projector = plane_projector_complement(driver.matrix[:, 0], 6)
         sigma = driver.matrix[:, 0]
         wv = np.eye(8)[:, 6].astype(complex)
@@ -205,7 +209,7 @@ class TestGroverOnPlane:
     def test_matches_dense_iterate_coordinates(self):
         # solve the 2x2 Gram system for the coordinates of G|sigma> and G|w>
         problem, driver = uniform_driver(3, 1)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         sigma = driver.matrix[:, 0]
         wv = np.eye(8)[:, 1].astype(complex)
         x = driver.x

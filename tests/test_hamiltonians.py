@@ -21,7 +21,6 @@ from groverlab.hamiltonians import (
     grover_time,
     h_eigensystem,
     h_evolution_closed_form,
-    hamiltonian_family,
     naive_generator,
     naive_search,
     naive_step,
@@ -126,9 +125,11 @@ class TestCommutatorHamiltonian:
         # dyadic output against (2i/E)[H_w, H_D] built from the projectors
         n, w, energy = 2, 3, 1.0
         sigma = uniform_sigma(n)
-        family = hamiltonian_family(sigma, w, energy)
-        via_commutator = (2j / energy) * commutator(family.h_target, family.h_driver)
-        assert np.max(np.abs(family.h_commutator - via_commutator)) < 1e-13
+        wv = basis_state(2**n, w)
+        h_target = energy * np.outer(wv, wv.conj())
+        h_driver = energy * np.outer(sigma, sigma.conj())
+        via_commutator = (2j / energy) * commutator(h_target, h_driver)
+        assert np.max(np.abs(commutator_hamiltonian(sigma, w, energy) - via_commutator)) < 1e-13
 
     def test_plane_eigenvalues(self):
         # E sin(2 theta) at x = 1/2 is sin(2 pi/3) = sqrt(3)/2
@@ -291,38 +292,10 @@ class TestPlaneProjector:
         # G P = P G = -P
         problem = SearchProblem(n=n, w=w)
         driver = make_driver(walsh_hadamard(n), problem)
-        iterate = grover_iterate(driver, problem)
+        iterate = grover_iterate(driver.matrix, problem)
         projector = plane_projector_complement(driver.matrix[:, 0], w)
         assert np.max(np.abs(iterate @ projector + projector)) < 1e-10
         assert np.max(np.abs(projector @ iterate + projector)) < 1e-10
-
-
-class TestHamiltonianFamily:
-    def test_member_consistency(self):
-        family = hamiltonian_family(uniform_sigma(3), 5, energy=1.5)
-        assert family.x == pytest.approx(2 ** (-1.5), abs=1e-12)
-        assert family.theta == pytest.approx(math.acos(family.x), abs=1e-12)
-        assert family.eta == pytest.approx(2 * 1.5 * family.x * math.sin(family.theta), abs=1e-12)
-        np.testing.assert_allclose(family.h_fg, family.h_target + family.h_driver, atol=1e-14)
-        assert is_hermitian(family.h_commutator)
-        assert is_hermitian(family.h_augmented)
-
-    def test_generator_present_for_uniform_start(self):
-        family = hamiltonian_family(uniform_sigma(2), 1)
-        assert family.generator is not None
-        np.testing.assert_allclose(
-            family.generator, naive_generator(SearchProblem(n=2, w=1)), atol=1e-15
-        )
-
-    def test_generator_absent_otherwise(self):
-        sigma = np.array([0.8, 0.6, 0.0, 0.0], dtype=complex)
-        family = hamiltonian_family(sigma, 0)
-        assert family.generator is None
-
-    def test_members_are_read_only(self):
-        family = hamiltonian_family(uniform_sigma(2), 1)
-        with pytest.raises(ValueError):
-            family.h_commutator[0, 0] = 1.0
 
 
 class TestAugmented:
@@ -331,19 +304,35 @@ class TestAugmented:
         w = 2**n - 1
         problem = SearchProblem(n=n, w=w)
         driver = make_driver(walsh_hadamard(n), problem)
-        family = hamiltonian_family(driver.matrix[:, 0], w)
-        h_augmented = augmented_hamiltonian(family)
-        iterate = grover_iterate(driver, problem)
-        gap = operator_norm(hermitian_propagator(h_augmented, grover_time(family.x)) - iterate)
-        assert gap < 1e-9
+        iterate = grover_iterate(driver.matrix, problem)
+        for energy in (1.0, 2.0):
+            h_augmented = augmented_hamiltonian(driver.matrix[:, 0], w, energy)
+            t = grover_time(driver.x) / energy
+            gap = operator_norm(hermitian_propagator(h_augmented, t) - iterate)
+            assert gap < 1e-9, energy
 
     def test_plane_action_matches_plain_generator(self):
-        family = hamiltonian_family(uniform_sigma(3), 2)
-        h_augmented = augmented_hamiltonian(family)
-        sigma = family.sigma
+        sigma = uniform_sigma(3)
+        difference = augmented_hamiltonian(sigma, 2) - commutator_hamiltonian(sigma, 2)
         wv = basis_state(8, 2)
-        assert np.linalg.norm((h_augmented - family.h_commutator) @ sigma) < 1e-12
-        assert np.linalg.norm((h_augmented - family.h_commutator) @ wv) < 1e-12
+        assert np.linalg.norm(difference @ sigma) < 1e-12
+        assert np.linalg.norm(difference @ wv) < 1e-12
+
+    def test_builders_agree_at_energy(self):
+        # one (sigma, w, energy) signature: the three builders and the
+        # projector fit together at a non-unit energy
+        sigma, w, energy = uniform_sigma(3), 5, 1.5
+        wv = basis_state(8, w)
+        h_fg = fg_hamiltonian(sigma, w, energy)
+        np.testing.assert_allclose(
+            h_fg, energy * (np.outer(sigma, sigma.conj()) + np.outer(wv, wv.conj())), atol=1e-14
+        )
+        h_commutator = commutator_hamiltonian(sigma, w, energy)
+        h_augmented = augmented_hamiltonian(sigma, w, energy)
+        assert is_hermitian(h_commutator)
+        assert is_hermitian(h_augmented)
+        complement = (math.pi * energy / grover_time(2 ** (-1.5))) * plane_projector_complement(sigma, w)
+        np.testing.assert_allclose(h_augmented - h_commutator, complement, atol=1e-13)
 
 
 class TestNaiveGenerator:
@@ -428,7 +417,7 @@ class TestNaiveSearch:
             a = naive_generator(SearchProblem(n=n, w=w))
             problem = SearchProblem(n=n, w=w)
             driver = make_driver(walsh_hadamard(n), problem)
-            iterate = grover_iterate(driver, problem)
+            iterate = grover_iterate(driver.matrix, problem)
             assert operator_norm(matrix_exponential(eps * a) - iterate @ iterate) < 1e-9
 
     @pytest.mark.parametrize("eps", [0.0, -0.01, 0.2])
