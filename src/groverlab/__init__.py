@@ -1,9 +1,12 @@
-"""groverlab: dense-matrix laboratory for Grover search and its
-continuous-time analogues.
+"""groverlab: a laboratory for Grover search and its continuous-time
+analogues.
 
 The package builds the digital search iterate, two rank-2 Hamiltonians whose
 evolutions perform the same search (one matching the iterate step for step),
-and a verification engine that measures every identity behind them.
+and a verification engine that measures every identity behind them.  Every
+operator involved is a scalar plus a rank-2 part on the (start, target)
+plane, so the commands compute on that plane in 2x2 algebra plus O(N)
+vectors; the dense N x N builders remain as the independent reference.
 """
 
 from ._version import __version__
@@ -24,7 +27,6 @@ from .grover import (
 )
 from .hamiltonians import (
     NaiveSearchResult,
-    PlaneCoords,
     augmented_hamiltonian,
     commutator_hamiltonian,
     fg_evolution_closed_form,
@@ -39,7 +41,6 @@ from .hamiltonians import (
     t0_series,
 )
 from .linalg import (
-    apply_exponential,
     basis_state,
     commutator,
     hermitian_propagator,
@@ -51,6 +52,7 @@ from .linalg import (
     power_limit_approx,
     uniform_state,
 )
+from .plane import PlaneCoords
 from .verification import (
     CHECK_NAMES,
     CheckReport,
@@ -94,7 +96,6 @@ __all__ = [
     "naive_step",
     "plane_projector_complement",
     "t0_series",
-    "apply_exponential",
     "basis_state",
     "commutator",
     "hermitian_propagator",

@@ -31,25 +31,28 @@ from .errors import DegeneratePlaneError, OrthogonalStartError
 from .grover import (
     MAX_QUBITS,
     SearchProblem,
-    grover_iterate,
     grover_walk,
+    iterate_operator,
     iteration_count,
-    make_driver,
-    walsh_hadamard,
+    uniform_start,
 )
 from .hamiltonians import (
-    PlaneCoords,
-    augmented_hamiltonian,
-    commutator_hamiltonian,
-    fg_hamiltonian,
+    augmented_propagator,
+    commutator_propagator,
+    fg_evolution_closed_form,
+    h_evolution_closed_form,
+    iterate_plus_projector,
     matching_time,
     naive_search,
-    plane_projector_complement,
+    validate_energy,
+    validate_stepper,
 )
-from .linalg import hermitian_propagator, operator_norm
+from .plane import PlaneCoords
 from .verification import CHECK_NAMES, run_sweep, to_csv, to_json, validate_sweep
 
-_EVOLVE_MAX_QUBITS = 10  # dense propagator plus iterate comparison
+#: evolve's --n cap, below grover's: the inputs evolve accepts are kept as they
+#: were when it built dense N x N propagators; its own cost is O(N)
+_EVOLVE_MAX_QUBITS = 10
 
 
 def _write(text: str, out: str) -> None:
@@ -79,8 +82,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
     problem = SearchProblem(n=args.n, w=args.w)
-    driver = make_driver(walsh_hadamard(args.n), problem)
-    counts = iteration_count(driver.x)
+    sigma, x = uniform_start(problem)
+    counts = iteration_count(x)
     if args.k == "optimal":
         k = counts.optimal
     elif args.k == "paper":
@@ -91,21 +94,22 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--k must be a nonnegative integer, 'optimal', or 'paper'")
     k_max = max(k, counts.optimal, counts.paper)
     k_trajectory = np.empty(k_max + 1)
-    for j, state in enumerate(islice(grover_walk(problem, driver), k_max + 1)):
-        k_trajectory[j] = abs(state[problem.w]) ** 2
+    for j, coords in enumerate(islice(grover_walk(x), k_max + 1)):
+        k_trajectory[j] = abs(coords.target_amplitude(x)) ** 2
         if j == k:
-            probabilities = np.abs(state) ** 2  # final measurement distribution
+            probabilities = np.abs(coords.lift(sigma, problem.w)) ** 2  # final measurement distribution
     p_final = float(k_trajectory[k])
     p_optimal = float(k_trajectory[counts.optimal])
     p_paper = float(k_trajectory[counts.paper])
-    order = np.argsort(probabilities)[::-1][: min(4, problem.dim)]
+    # stable, so outcomes of equal probability are listed by index
+    order = np.argsort(-probabilities, kind="stable")[: min(4, problem.dim)]
     top = ";".join(f"{int(i)}:{float(probabilities[i])!r}" for i in order)
 
     if args.format == "json":
         payload = {
             "n": args.n,
             "w": args.w,
-            "x": driver.x,
+            "x": x,
             "k": k,
             "k_requested": args.k,
             "k_optimal": counts.optimal,
@@ -121,7 +125,7 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
         _write(_json_dumps(payload), args.out)
     else:
         lines = [
-            f"# n={args.n} w={args.w} x={driver.x!r}",
+            f"# n={args.n} w={args.w} x={x!r}",
             f"# k={k} requested={args.k}",
             f"# k_optimal={counts.optimal} p_optimal={p_optimal!r}",
             f"# k_paper={counts.paper} p_paper={p_paper!r}",
@@ -136,11 +140,12 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     problem = SearchProblem(n=args.n, w=args.w)
-    driver = make_driver(walsh_hadamard(args.n), problem)
-    sigma = driver.matrix[:, 0]
-    x = driver.x
+    sigma, x = uniform_start(problem)
+    theta = math.acos(x)
     t0 = matching_time(x, args.energy)
     arrival = math.pi / (2.0 * args.energy * x)
+    if not math.isfinite(arrival):  # t0/E < arrival, so this covers both sentinels
+        parser.error(f"--energy {args.energy!r} is too small: the evolution times overflow")
     if args.t == "t0":
         t = t0
     elif args.t == "arrival":
@@ -148,13 +153,17 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     else:
         t = float(args.t)
 
-    builders = {
-        "fg": fg_hamiltonian,
-        "commutator": commutator_hamiltonian,
-        "augmented": augmented_hamiltonian,
-    }
-    propagator = hermitian_propagator(builders[args.hamiltonian](sigma, problem.w, args.energy), t)
-    state = propagator @ sigma
+    if args.hamiltonian == "fg":
+        # the closed form covers t >= 0; H' is real in the (start, target)
+        # basis, so running time backwards conjugates the coefficients
+        evolved = fg_evolution_closed_form(x, args.energy, abs(t))
+        if t < 0.0:
+            evolved = PlaneCoords(evolved.c_sigma.conjugate(), evolved.c_w.conjugate())
+    else:
+        # e^{-iHt} and e^{-iH~t} act alike on the plane
+        column = h_evolution_closed_form(x, args.energy, t)[:, 0]
+        evolved = PlaneCoords(complex(column[0]), complex(column[1]))
+    state = evolved.lift(sigma, problem.w)
     fidelity = float(abs(state[problem.w]) ** 2)
 
     # coefficients in the non-orthogonal (start, target) basis; they give the
@@ -170,12 +179,13 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
         ratio = t / t0
         if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 0:
             power = int(round(ratio))
-            reference = grover_iterate(driver.matrix, problem)
             if args.hamiltonian == "commutator":
-                reference += 2.0 * plane_projector_complement(sigma, problem.w)
-            power_distance = float(
-                operator_norm(propagator - np.linalg.matrix_power(reference, power))
-            )
+                propagator = commutator_propagator(x, args.energy, t, problem.dim)
+                reference = iterate_plus_projector(x, problem.dim)
+            else:
+                propagator = augmented_propagator(x, args.energy, t, problem.dim)
+                reference = iterate_operator(x, problem.dim)
+            power_distance = (propagator - reference.power(power)).norm()
 
     if args.format == "json":
         payload = {
@@ -184,7 +194,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
             "hamiltonian": args.hamiltonian,
             "energy": args.energy,
             "x": x,
-            "theta": driver.theta,
+            "theta": theta,
             "t0": t0,
             "arrival_time": arrival,
             "t": t,
@@ -199,7 +209,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     else:
         lines = [
             f"# n={args.n} w={args.w} hamiltonian={args.hamiltonian} energy={args.energy!r}",
-            f"# x={x!r} theta={driver.theta!r} t0={t0!r} arrival={arrival!r}",
+            f"# x={x!r} theta={theta!r} t0={t0!r} arrival={arrival!r}",
         ]
         if power is not None:
             lines.append(f"# grover_power={power} grover_power_distance={power_distance!r}")
@@ -224,7 +234,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
     problem = SearchProblem(n=args.n, w=args.w)
-    x = 2.0 ** (-args.n / 2)
+    _, x = uniform_start(problem)
     theta = math.acos(x)
     predicted_peak = theta / (args.eps * math.sqrt(problem.dim) * math.sin(theta))
     max_steps = args.max_steps if args.max_steps is not None else math.ceil(1.5 * predicted_peak) + 10
@@ -294,7 +304,10 @@ def _int_in(parser, value: str, lo: int, hi: int, flag: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groverlab",
-        description="Search runs, analog evolution, and verification sweeps over dense matrices.",
+        description=(
+            "Search runs, analog evolution, and verification sweeps, computed on the "
+            "two-dimensional (start, target) plane."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,21 +360,25 @@ def main(argv=None) -> int:
     elif args.command == "evolve":
         args.n = _int_in(parser, args.n, 1, _EVOLVE_MAX_QUBITS, "--n")
         args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
-        if args.energy <= 0:
-            parser.error(f"--energy must be positive, got {args.energy}")
+        try:
+            validate_energy(args.energy)
+        except ValueError as error:
+            parser.error(f"--energy: {error}")
         if args.t not in ("t0", "arrival"):
             try:
-                float(args.t)
+                t = float(args.t)
             except ValueError:
                 parser.error("--t must be a number, 't0', or 'arrival'")
+            if not math.isfinite(t):
+                parser.error(f"--t must be finite, got {args.t}")
         handler = cmd_evolve
     elif args.command == "naive":
         args.n = _int_in(parser, args.n, 1, MAX_QUBITS, "--n")
         args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
-        if not 0.0 < args.eps <= 0.1:
-            parser.error(f"--eps must lie in (0, 0.1], got {args.eps}")
-        if args.max_steps is not None and args.max_steps < 1:
-            parser.error(f"--max-steps must be positive, got {args.max_steps}")
+        try:
+            validate_stepper(args.eps, args.max_steps)
+        except ValueError as error:
+            parser.error(f"--eps/--max-steps: {error}")
         handler = cmd_naive
     else:
         handler = cmd_verify

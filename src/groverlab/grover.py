@@ -7,6 +7,11 @@ driver unitary with nonzero start-target overlap, the search iterate
 
 and runs the iterated search.  The driver is phase-adjusted so that the
 overlap x = <w|U|0> is real and positive; this adjustment never changes G.
+
+G acts on the (start, target) plane by :func:`grover_on_plane` and as -1 on
+its orthogonal complement, whatever the driver, so the walk, the iteration
+counts and :func:`iterate_operator` need only x; the dense
+:func:`grover_iterate` is kept as the independent reference.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from itertools import islice
 import numpy as np
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
-from .linalg import is_unitary
+from .linalg import is_unitary, uniform_state
+from .plane import PlaneCoords, PlaneOperator
 
-#: dense operators are only built up to this register size
+#: largest register a search instance (and the CLI's --n of grover and naive) accepts
 MAX_QUBITS = 12
 
 #: overlaps within this distance of 0 or 1 leave no (start, target) plane
@@ -108,6 +114,18 @@ def zero_inverter(dim: int) -> np.ndarray:
     return np.diag(d)
 
 
+def uniform_start(problem: SearchProblem) -> tuple[np.ndarray, float]:
+    """Start state U|0> of the Walsh-Hadamard driver, the uniform superposition,
+    and its overlap x = 2**(-n/2) with the target.
+
+    Built in O(N) by :func:`uniform_state` rather than as a column of the
+    N x N driver.  Every amplitude is real positive, so no phase adjustment is
+    needed; x is validated by :func:`check_overlap`.
+    """
+    sigma = uniform_state(problem.n)
+    return sigma, check_overlap(float(sigma[problem.w].real))
+
+
 def walsh_hadamard(n: int) -> np.ndarray:
     """The n-qubit Walsh-Hadamard transform.
 
@@ -192,17 +210,21 @@ def iteration_count(x: float) -> IterationCount:
     return IterationCount(paper=paper, optimal=optimal)
 
 
-def grover_walk(problem: SearchProblem, driver: DriverUnitary):
-    """Yield the states U|0>, G U|0>, G^2 U|0>, ... without end.
+def iterate_operator(x: float, dim: int) -> PlaneOperator:
+    """G as a plane operator: :func:`grover_on_plane` on the plane, -1 on the complement."""
+    return PlaneOperator.from_start_target(grover_on_plane(x), x, -1.0, dim)
 
-    G is built once, when the second state is first asked for.
+
+def grover_walk(x: float):
+    """Yield the (start, target) coordinates of U|0>, G U|0>, G^2 U|0>, ... without end.
+
+    Each step is the 2x2 product with :func:`grover_on_plane`.
     """
-    state = driver.matrix[:, 0].copy()
-    yield state
-    iterate = grover_iterate(driver.matrix, problem)
+    step = grover_on_plane(x)
+    coords = np.array([1.0, 0.0])
     while True:
-        state = iterate @ state
-        yield state
+        yield PlaneCoords(complex(coords[0]), complex(coords[1]))
+        coords = step @ coords
 
 
 def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[np.ndarray, float]:
@@ -210,13 +232,14 @@ def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[n
     and the probability of measuring the target."""
     if k < 0:
         raise ValueError(f"iteration count must be nonnegative, got {k}")
-    state = next(islice(grover_walk(problem, driver), k, None))
-    return state, float(abs(state[problem.w]) ** 2)
+    coords = next(islice(grover_walk(driver.x), k, None))
+    state = coords.lift(driver.matrix[:, 0], problem.w)
+    return state, float(abs(coords.target_amplitude(driver.x)) ** 2)
 
 
 def success_trajectory(problem: SearchProblem, driver: DriverUnitary, k_max: int) -> np.ndarray:
     """Success probability after 0, 1, ..., k_max applications of G."""
     if k_max < 0:
         raise ValueError(f"iteration count must be nonnegative, got {k_max}")
-    states = islice(grover_walk(problem, driver), k_max + 1)
-    return np.array([abs(state[problem.w]) ** 2 for state in states])
+    walk = islice(grover_walk(driver.x), k_max + 1)
+    return np.array([abs(coords.target_amplitude(driver.x)) ** 2 for coords in walk])

@@ -18,9 +18,13 @@ orthogonal complement of the plane, where G acts as -1 and e^{-iHt} as +1;
 adding (pi E/t0) P to H yields an augmented generator whose evolution at t0/E
 equals G on the whole space.
 
-The three generators are built by :func:`fg_hamiltonian`,
+The three generators are built as dense matrices by :func:`fg_hamiltonian`,
 :func:`commutator_hamiltonian` and :func:`augmented_hamiltonian`, which share
-one signature ``(sigma, w, energy)``.
+one signature ``(sigma, w, energy)``; they are the independent reference for
+the closed forms, which give the same dynamics on the plane in O(1):
+:func:`fg_evolution_closed_form` for e^{-iH't}|s>, and
+:func:`commutator_propagator` and :func:`augmented_propagator` (built on
+:func:`h_evolution_closed_form`) for e^{-iHt} and e^{-iH~t}.
 
 The incremental stepper of the last section applies I + eps*A for the integer
 matrix A = sqrt(N)(|w><u| - |u><w|) built on the uniform state |u>, moving
@@ -29,36 +33,18 @@ amplitude from all unmarked states onto the target a little at a time.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegeneratePlaneError
-from .grover import _OVERLAP_EPS, SearchProblem, check_overlap, overlap_phase
-from .linalg import basis_state, uniform_state
+from .grover import _OVERLAP_EPS, SearchProblem, check_overlap, iterate_operator, overlap_phase, uniform_start
+from .linalg import basis_state
+from .plane import PlaneCoords, PlaneOperator, plane_basis
 
 _T0_SERIES_CUTOFF = 1e-6
-
-
-@dataclass(frozen=True)
-class PlaneCoords:
-    """Coefficients (c_sigma, c_w) of a state c_sigma|s> + c_w|w> in the
-    non-orthogonal (start, target) basis with overlap x = <w|s>."""
-
-    c_sigma: complex
-    c_w: complex
-
-    def plane_norm(self, x: float) -> float:
-        """Norm of the represented state; the basis is not orthogonal, so the
-        cross term 2 Re(conj(c_sigma) c_w x) enters."""
-        cs, cw = self.c_sigma, self.c_w
-        value = abs(cs) ** 2 + abs(cw) ** 2 + 2.0 * (cs.conjugate() * cw * x).real
-        return math.sqrt(max(value, 0.0))
-
-    def lift(self, sigma: np.ndarray, w: int) -> np.ndarray:
-        """Expand the coefficients back into a full state vector."""
-        return self.c_sigma * sigma + self.c_w * basis_state(sigma.size, w)
 
 
 def _start_vector(sigma, w: int) -> np.ndarray:
@@ -70,11 +56,16 @@ def _start_vector(sigma, w: int) -> np.ndarray:
     return sigma
 
 
+def validate_energy(energy: float) -> None:
+    """Reject an energy scale E that is not positive and finite."""
+    if not (math.isfinite(energy) and energy > 0.0):
+        raise ValueError(f"energy must be positive and finite, got {energy}")
+
+
 def _plane(sigma, w: int, energy: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Validated inputs of a generator builder: the start state phase-adjusted
     so <w|sigma> is real positive, the target vector, and the overlap x."""
-    if energy <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy}")
+    validate_energy(energy)
     sigma = _start_vector(sigma, w)
     phase, x = overlap_phase(complex(sigma[w]))
     return sigma * phase, basis_state(sigma.size, w), x
@@ -160,6 +151,20 @@ def h_evolution_closed_form(x: float, energy: float, t: float) -> np.ndarray:
     )
 
 
+def commutator_propagator(x: float, energy: float, t: float, dim: int) -> PlaneOperator:
+    """e^{-iHt} as a plane operator: :func:`h_evolution_closed_form` on the
+    plane, and 1 on the complement, which H annihilates."""
+    return PlaneOperator.from_start_target(h_evolution_closed_form(x, energy, t), x, 1.0, dim)
+
+
+def augmented_propagator(x: float, energy: float, t: float, dim: int) -> PlaneOperator:
+    """e^{-iH~t} for the augmented generator H~ = H + (pi E/t0) P as a plane
+    operator: e^{-iHt} on the plane, where P vanishes, and e^{-i pi t E/t0} on
+    the complement."""
+    propagator = commutator_propagator(x, energy, t, dim)
+    return replace(propagator, complement=cmath.exp(-1j * math.pi * t / matching_time(x, energy)))
+
+
 def grover_time(x: float) -> float:
     """Time t0 at which e^{-iHt0} reproduces one digital iterate on the plane:
 
@@ -209,6 +214,12 @@ def plane_projector_complement(sigma, w: int) -> np.ndarray:
     return np.eye(sigma.size, dtype=complex) - np.outer(wv, wv.conj()) - np.outer(u, u.conj())
 
 
+def iterate_plus_projector(x: float, dim: int) -> PlaneOperator:
+    """G + 2P as a plane operator, the operator e^{-iHt0} equals: G on the
+    plane, where P vanishes, and -1 + 2 = 1 on the complement."""
+    return replace(iterate_operator(x, dim), complement=1.0)
+
+
 def augmented_hamiltonian(sigma, w: int, energy: float = 1.0) -> np.ndarray:
     """Generator H + (pi E/t0) P whose evolution at t0/E equals G on the whole space.
 
@@ -245,6 +256,15 @@ def naive_step(phi, generator, eps: float) -> np.ndarray:
     return phi + eps * (generator @ phi)
 
 
+def validate_stepper(eps: float, max_steps: int | None = None) -> None:
+    """Reject a step size outside (0, 0.1] and a step count below 1 (``None``
+    leaves the count to the caller)."""
+    if not 0.0 < eps <= 0.1:
+        raise ValueError(f"step size must lie in (0, 0.1], got {eps}")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"step count must be positive, got {max_steps}")
+
+
 @dataclass(frozen=True)
 class NaiveSearchResult:
     """Target-amplitude trajectory of the renormalised incremental search."""
@@ -264,18 +284,20 @@ def naive_search(problem: SearchProblem, eps: float, max_steps: int) -> NaiveSea
     arrival near theta / (eps sqrt(N) sin theta); the trajectory climbs
     strictly up to that first peak and oscillates beyond it.
     """
-    if not 0.0 < eps <= 0.1:
-        raise ValueError(f"step size must lie in (0, 0.1], got {eps}")
-    if max_steps < 1:
-        raise ValueError(f"step count must be positive, got {max_steps}")
-    generator = naive_generator(problem)
-    state = uniform_state(problem.n)
+    validate_stepper(eps, max_steps)
+    _, x = uniform_start(problem)
+    # the uniform start never leaves the plane; in its orthonormal basis (see
+    # groverlab.plane) A keeps the dyadic form sqrt(N)(|w><s| - |s><w|), with
+    # |s> the uniform start
+    state = plane_basis(x)[:, 0]
+    target = np.array([1.0, 0.0])
+    generator = math.sqrt(problem.dim) * (np.outer(target, state) - np.outer(state, target))
     amplitudes = np.empty(max_steps + 1)
-    amplitudes[0] = abs(state[problem.w])
+    amplitudes[0] = abs(state[0])
     for step in range(1, max_steps + 1):
         state = naive_step(state, generator, eps)
         state = state / np.linalg.norm(state)
-        amplitudes[step] = abs(state[problem.w])
+        amplitudes[step] = abs(state[0])
     peak_step = int(np.argmax(amplitudes))
     return NaiveSearchResult(
         amplitudes=amplitudes,

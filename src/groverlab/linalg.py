@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small quantum systems.
+"""Dense complex linear algebra: states, and the reference operator routes.
 
 Conventions used throughout the package:
 
@@ -7,9 +7,12 @@ Conventions used throughout the package:
 * the *operator norm* is the spectral norm ``sup_{|v|=1} |Av|``, i.e. the
   largest singular value.
 
-Everything is sized for dimensions up to 4096 (12 qubits); no sparse or
-tensor-network representations are attempted.  All functions are pure and
-results are safe to share across threads.
+States are O(N) vectors.  The operator functions (spectral norm, series
+and eigendecomposition exponentials, the compound-interest limit) take dense
+N x N matrices, cost O(N^3), and serve as the independent reference the test
+suite holds the plane route of :mod:`groverlab.plane` against; the commands
+never call them.  All functions are pure and results are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -127,32 +130,6 @@ def hermitian_propagator(h, t: float = 1.0) -> np.ndarray:
     eigenvalues, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * eigenvalues * t)
     return (vectors * phases) @ vectors.conj().T
-
-
-def apply_exponential(a, v) -> np.ndarray:
-    """Action ``e^A v`` without forming the full exponential.
-
-    Splits the generator into sub-steps of Frobenius norm at most 0.5 and sums
-    the Taylor series with matrix-vector products only.  Useful at dimensions
-    where a dense eigendecomposition is too slow.
-    """
-    a = _require_finite(_as_operator(a))
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (a.shape[0],):
-        raise ValueError(f"vector shape {v.shape} does not match operator {a.shape}")
-    steps = max(1, int(np.ceil(np.linalg.norm(a) / 0.5)))
-    scaled = a / steps
-    result = v
-    for _ in range(steps):
-        term = result
-        acc = result.copy()
-        k = 1
-        while np.linalg.norm(term) >= _SERIES_TOL:
-            term = scaled @ term / k
-            acc = acc + term
-            k += 1
-        result = acc
-    return result
 
 
 def power_limit_approx(a, k: int) -> np.ndarray:

@@ -24,6 +24,11 @@ overlap x = 2**(-n/2) does not depend on the target):
     Farhi-Gutmann arrival: |<w| e^{-iH't} |s>| = 1 at t = pi/(2Ex), plus the
     full-state match against -i e^{-i pi/(2x)} |w>.
 
+Every check is computed on the (start, target) plane: the operators are
+plane operators built from the closed forms, so a row costs the same at every
+n.  The test suite measures the same rows with dense matrices as an
+independent route.
+
 Rows are plain data: ``passed`` is always recomputable as
 |measured - predicted| <= tolerance.  Sweeps are deterministic: nothing in
 them is random, and all run at unit energy.
@@ -39,14 +44,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .grover import MAX_QUBITS, SearchProblem, grover_iterate, make_driver, walsh_hadamard
+from .grover import MAX_QUBITS, SearchProblem, iterate_operator, uniform_start
 from .hamiltonians import (
-    commutator_hamiltonian,
-    fg_hamiltonian,
+    commutator_propagator,
+    fg_evolution_closed_form,
     grover_time,
-    plane_projector_complement,
+    h_evolution_closed_form,
+    iterate_plus_projector,
+    validate_energy,
 )
-from .linalg import apply_exponential, basis_state, hermitian_propagator, operator_norm, uniform_state
+from .plane import PlaneCoords
 
 CHECK_NAMES = ("theorem_main", "norm_gap", "corollary", "fg_arrival")
 
@@ -120,20 +127,16 @@ def _require_n(check: str, n: int) -> None:
         raise ValueError(f"{check} supports n in [{lo}, {hi}], got {n}")
 
 
-def _uniform_setup(n: int):
-    """Walsh-Hadamard driver, target N-1."""
-    problem = SearchProblem(n=n, w=2**n - 1)
-    driver = make_driver(walsh_hadamard(n), problem)
-    return problem, driver
+def _uniform_overlap(n: int) -> float:
+    """Overlap x = 2**(-n/2) of the uniform start with the target N-1."""
+    _, x = uniform_start(SearchProblem(n=n, w=2**n - 1))
+    return x
 
 
 def _commutator_setup(n: int):
-    """Unit-energy commutator generator H and the reference G + 2P."""
-    problem, driver = _uniform_setup(n)
-    sigma = driver.matrix[:, 0]
-    iterate = grover_iterate(driver.matrix, problem)
-    h = commutator_hamiltonian(sigma, problem.w)
-    return driver.x, h, iterate, iterate + 2.0 * plane_projector_complement(sigma, problem.w)
+    """Overlap, dimension, the iterate G and the reference G + 2P."""
+    x, dim = _uniform_overlap(n), 2**n
+    return x, dim, iterate_operator(x, dim), iterate_plus_projector(x, dim)
 
 
 def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, CheckReport]:
@@ -144,10 +147,10 @@ def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, C
     control that must break the match.
     """
     _require_n("theorem_main", n)
-    x, h, iterate, target = _commutator_setup(n)
+    x, dim, iterate, target = _commutator_setup(n)
     t = time_scale * grover_time(x)
-    gap_once = operator_norm(hermitian_propagator(h, t) - target)
-    gap_twice = operator_norm(hermitian_propagator(h, 2.0 * t) - iterate @ iterate)
+    gap_once = (commutator_propagator(x, 1.0, t, dim) - target).norm()
+    gap_twice = (commutator_propagator(x, 1.0, 2.0 * t, dim) - iterate.power(2)).norm()
     once = CheckReport.from_measurement("theorem_main_iterate", n, x, t, gap_once, 0.0, _EXACT_TOL)
     twice = CheckReport.from_measurement("theorem_main_square", n, x, 2.0 * t, gap_twice, 0.0, _EXACT_TOL)
     return once, twice
@@ -156,8 +159,8 @@ def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, C
 def norm_gap_vs_prediction(n: int) -> CheckReport:
     """Gap |e^{-iH} - (G + 2P)| against the (2/3) x^3 sqrt(1-x^2) estimate."""
     _require_n("norm_gap", n)
-    x, h, _, target = _commutator_setup(n)
-    measured = operator_norm(hermitian_propagator(h, 1.0) - target)
+    x, dim, _, target = _commutator_setup(n)
+    measured = (commutator_propagator(x, 1.0, 1.0, dim) - target).norm()
     predicted = (2.0 / 3.0) * x**3 * math.sqrt(1.0 - x * x)
     return CheckReport.from_measurement(
         "norm_gap", n, x, grover_time(x), measured, predicted, 5.0 * x**5
@@ -168,19 +171,15 @@ def verify_corollary(n: int, t: float | None = None) -> CheckReport:
     """Arrival miss |e^{-iHt}|s> - |w>| at t = (pi/4) sqrt(N) (or a caller
     supplied time, e.g. the exact arrival theta/eta).
 
-    The evolution is evaluated by a Taylor matrix-vector series, which stays
-    cheap at n = 12 where a dense eigendecomposition would not.
+    The evolved start is the first column of :func:`h_evolution_closed_form`,
+    so the row costs the same at every n.
     """
     _require_n("corollary", n)
-    dim = 2**n
-    w = dim - 1
-    sigma = uniform_state(n)
-    x = float(sigma[w].real)
+    x = _uniform_overlap(n)
     if t is None:
-        t = math.pi / 4.0 * math.sqrt(dim)
-    h = commutator_hamiltonian(sigma, w)
-    state = apply_exponential(-1j * t * h, sigma)
-    measured = float(np.linalg.norm(state - basis_state(dim, w)))
+        t = math.pi / 4.0 * math.sqrt(2**n)
+    evolved = h_evolution_closed_form(x, 1.0, t)[:, 0]
+    measured = PlaneCoords(evolved[0], evolved[1] - 1.0).plane_norm(x)
     return CheckReport.from_measurement("corollary", n, x, t, measured, 0.0, x)
 
 
@@ -192,15 +191,13 @@ def verify_fg_arrival(n: int, energy: float = 1.0, time_scale: float = 1.0) -> t
     stretches the evolution for control runs.
     """
     _require_n("fg_arrival", n)
-    problem, driver = _uniform_setup(n)
-    sigma = driver.matrix[:, 0]
-    x = driver.x
-    h = fg_hamiltonian(sigma, problem.w, energy)
+    validate_energy(energy)
+    x = _uniform_overlap(n)
     t = time_scale * math.pi / (2.0 * energy * x)
-    state = hermitian_propagator(h, t) @ sigma
-    fidelity = float(abs(state[problem.w]))
-    target_state = -1j * np.exp(-1j * math.pi / (2.0 * x)) * basis_state(problem.dim, problem.w)
-    state_gap = float(np.linalg.norm(state - target_state))
+    state = fg_evolution_closed_form(x, energy, t)
+    fidelity = float(abs(state.target_amplitude(x)))
+    arrival = -1j * np.exp(-1j * math.pi / (2.0 * x))
+    state_gap = PlaneCoords(state.c_sigma, state.c_w - arrival).plane_norm(x)
     fid_row = CheckReport.from_measurement(
         "fg_arrival_fidelity", n, x, t, fidelity, 1.0, _EXACT_TOL
     )

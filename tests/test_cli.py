@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -120,6 +121,23 @@ class TestEvolveCommand:
         with pytest.raises(SystemExit):
             main(["evolve", "--n", "2", "--hamiltonian", "fg", "--t", "later"])
 
+    @pytest.mark.parametrize(
+        "hamiltonian,option",
+        [
+            ("commutator", ("--t", "nan")),
+            ("fg", ("--t", "inf")),
+            ("augmented", ("--t=-inf",)),
+            ("fg", ("--energy", "nan")),
+            ("commutator", ("--energy", "inf")),
+            ("augmented", ("--energy", "0")),
+            ("fg", ("--energy", "1e-320")),
+        ],
+    )
+    def test_unusable_time_or_energy_is_usage_error(self, hamiltonian, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evolve", "--n", "3", "--hamiltonian", hamiltonian, *option])
+        assert excinfo.value.code == 2
+
 
 class TestNaiveCommand:
     def test_small_instance_peak(self, capsys):
@@ -195,3 +213,28 @@ class TestVerifyCommand:
             )
             assert code == 0
         assert target_a.read_bytes() == target_b.read_bytes()
+
+
+class TestMemory:
+    """The commands compute on the (start, target) plane: their peak traced
+    allocation stays far below one 1024 x 1024 complex array (16 MB)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--checks", "corollary", "--n", "12..12"),
+            ("grover", "--n", "12"),
+            ("naive", "--n", "12", "--eps", "0.001"),
+            *(("evolve", "--n", "10", "--hamiltonian", h) for h in ("fg", "commutator", "augmented")),
+        ],
+    )
+    def test_peak_allocation_below_8_mb(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from groverlab.grover import SearchProblem, walsh_hadamard
 from groverlab.hamiltonians import commutator_hamiltonian, naive_generator
 from groverlab.linalg import (
-    apply_exponential,
     basis_state,
     commutator,
     hermitian_propagator,
@@ -125,21 +124,6 @@ class TestHermitianPropagator:
             eigen = hermitian_propagator(h, t)
             assert operator_norm(series - eigen) < 1e-11
             assert is_unitary(eigen, atol=1e-10)
-
-
-class TestApplyExponential:
-    def test_matches_full_exponential(self, rng):
-        for dim, scale in ((4, 0.3), (16, 2.5), (48, 7.0)):
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            a = scale * m / operator_norm(m)
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v = v / np.linalg.norm(v)
-            expected = matrix_exponential(a) @ v
-            assert np.linalg.norm(apply_exponential(a, v) - expected) < 1e-12
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_exponential(np.eye(3), np.ones(4))
 
 
 class TestPowerLimit:

@@ -107,6 +107,11 @@ class TestFgArrival:
         assert state.measured < 1e-9
         assert fidelity.passed and state.passed
 
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
+    def test_rejects_unusable_energy(self, energy):
+        with pytest.raises(ValueError):
+            verify_fg_arrival(3, energy)
+
     def test_half_time_fidelity(self):
         # half-way fidelity is sqrt((1+x^2)/2): the sigma component still
         # overlaps the target through the non-orthogonal cross term
