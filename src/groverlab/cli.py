@@ -9,8 +9,16 @@ Sentinels make every closed-form quantity reachable from the shell:
   ``--t arrival`` to the driver-plus-target arrival time pi/(2Ex).
 
 ``verify`` sweeps run at unit energy and take no seed: nothing in them is
-random.  Check names and the n-range are validated by
-:func:`groverlab.verification.validate_sweep`.
+random.
+
+Each flag is checked once, by the rule that defines its range: ``--n`` and
+``--w`` by :class:`~groverlab.grover.SearchProblem` (up to ``MAX_QUBITS``
+qubits), ``--k`` and the ``naive`` step count by
+:func:`~groverlab.grover.check_steps` (up to ``MAX_STEPS``), ``--energy``,
+``--eps`` and ``--max-steps`` by the rules in :mod:`groverlab.hamiltonians`,
+and ``verify``'s check names and n-range by
+:func:`groverlab.verification.validate_sweep`.  A rule's ``ValueError`` is the
+exit-2 usage error.
 
 Exit status is 0 exactly when all requested computations succeed and, for
 ``verify``, every check passed.  Outputs carry no timestamps, so identical
@@ -29,8 +37,9 @@ import numpy as np
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
 from .grover import (
-    MAX_QUBITS,
+    MAX_STEPS,
     SearchProblem,
+    check_steps,
     grover_walk,
     iterate_operator,
     iteration_count,
@@ -47,12 +56,12 @@ from .hamiltonians import (
     validate_energy,
     validate_stepper,
 )
+from .linalg import MAX_QUBITS
 from .plane import PlaneCoords
 from .verification import CHECK_NAMES, run_sweep, to_csv, to_json, validate_sweep
 
-#: evolve's --n cap, below grover's: the inputs evolve accepts are kept as they
-#: were when it built dense N x N propagators; its own cost is O(N)
-_EVOLVE_MAX_QUBITS = 10
+#: evolve reports t as a Grover power when t/(t0/E) is this close to an integer
+_POWER_TOL = 1e-9
 
 
 def _write(text: str, out: str) -> None:
@@ -69,6 +78,38 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _checked(parser: argparse.ArgumentParser, flags: str, rule, *args):
+    """Apply an input rule; its ValueError becomes the exit-2 usage error."""
+    try:
+        return rule(*args)
+    except ValueError as error:
+        parser.error(f"{flags}: {error}")
+
+
+def _time(text: str):
+    """Parse --t: 't0', 'arrival', or a finite number."""
+    if text in ("t0", "arrival"):
+        return text
+    try:
+        t = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number, 't0', or 'arrival'") from None
+    if not math.isfinite(t):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return t
+
+
+def _iterations(text: str, counts) -> int:
+    """Resolve --k: 'optimal', 'paper', or an integer in [0, MAX_STEPS]."""
+    if text in ("optimal", "paper"):
+        return getattr(counts, text)
+    try:
+        k = int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, 'optimal', or 'paper', got {text!r}") from None
+    return check_steps(k)
+
+
 def _parse_n_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -81,17 +122,10 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
-    problem = SearchProblem(n=args.n, w=args.w)
+    problem = _checked(parser, "--n/--w", SearchProblem, args.n, args.w)
     sigma, x = uniform_start(problem)
     counts = iteration_count(x)
-    if args.k == "optimal":
-        k = counts.optimal
-    elif args.k == "paper":
-        k = counts.paper
-    else:
-        k = int(args.k)
-        if k < 0:
-            parser.error("--k must be a nonnegative integer, 'optimal', or 'paper'")
+    k = _checked(parser, "--k", _iterations, args.k, counts)
     k_max = max(k, counts.optimal, counts.paper)
     k_trajectory = np.empty(k_max + 1)
     for j, coords in enumerate(islice(grover_walk(x), k_max + 1)):
@@ -139,19 +173,15 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
-    problem = SearchProblem(n=args.n, w=args.w)
+    problem = _checked(parser, "--n/--w", SearchProblem, args.n, args.w)
+    _checked(parser, "--energy", validate_energy, args.energy)
     sigma, x = uniform_start(problem)
     theta = math.acos(x)
     t0 = matching_time(x, args.energy)
     arrival = math.pi / (2.0 * args.energy * x)
     if not math.isfinite(arrival):  # t0/E < arrival, so this covers both sentinels
         parser.error(f"--energy {args.energy!r} is too small: the evolution times overflow")
-    if args.t == "t0":
-        t = t0
-    elif args.t == "arrival":
-        t = arrival
-    else:
-        t = float(args.t)
+    t = {"t0": t0, "arrival": arrival}.get(args.t, args.t)
 
     if args.hamiltonian == "fg":
         # the closed form covers t >= 0; H' is real in the (start, target)
@@ -175,10 +205,13 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
 
     power = None
     power_distance = None
-    if args.hamiltonian in ("commutator", "augmented"):
-        ratio = t / t0
-        if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 0:
-            power = int(round(ratio))
+    ratio = t / t0
+    # the integer test needs the float spacing of the ratio below its
+    # tolerance, i.e. t below about 8e6 t0/E; beyond that no power is reported
+    if args.hamiltonian != "fg" and math.ulp(ratio) < _POWER_TOL:
+        nearest = round(ratio)
+        if abs(ratio - nearest) < _POWER_TOL and nearest >= 0:
+            power = nearest
             if args.hamiltonian == "commutator":
                 propagator = commutator_propagator(x, args.energy, t, problem.dim)
                 reference = iterate_plus_projector(x, problem.dim)
@@ -233,11 +266,18 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
-    problem = SearchProblem(n=args.n, w=args.w)
+    problem = _checked(parser, "--n/--w", SearchProblem, args.n, args.w)
+    _checked(parser, "--eps/--max-steps", validate_stepper, args.eps, args.max_steps)
     _, x = uniform_start(problem)
     theta = math.acos(x)
     predicted_peak = theta / (args.eps * math.sqrt(problem.dim) * math.sin(theta))
-    max_steps = args.max_steps if args.max_steps is not None else math.ceil(1.5 * predicted_peak) + 10
+    max_steps = args.max_steps
+    if max_steps is None:
+        # half again past the predicted first arrival; a subnormal --eps makes
+        # the prediction inf, which the step limit rejects unrounded
+        auto = 1.5 * predicted_peak
+        max_steps = math.ceil(auto) + 10 if math.isfinite(auto) else auto
+        _checked(parser, "--eps (automatic --max-steps)", check_steps, max_steps, 1)
     result = naive_search(problem, args.eps, max_steps)
 
     if args.format == "json":
@@ -291,16 +331,6 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _int_in(parser, value: str, lo: int, hi: int, flag: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        parser.error(f"{flag} expects an integer, got {value!r}")
-    if not lo <= number <= hi:
-        parser.error(f"{flag} must lie in [{lo}, {hi}], got {number}")
-    return number
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groverlab",
@@ -311,28 +341,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    grover = sub.add_parser("grover", help="run the digital search")
-    grover.add_argument("--n", required=True, help=f"qubit count (1..{MAX_QUBITS})")
-    grover.add_argument("--w", default="0", help="target index (default 0)")
-    grover.add_argument("--k", default="optimal", help="iteration count, 'optimal', or 'paper'")
+    def search_command(name: str, help: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=help)
+        command.add_argument("--n", type=int, required=True, help=f"qubit count (1..{MAX_QUBITS})")
+        command.add_argument("--w", type=int, default=0, help="target index (default 0)")
+        return command
 
-    evolve = sub.add_parser("evolve", help="evolve the start state under one generator")
-    evolve.add_argument("--n", required=True, help=f"qubit count (1..{_EVOLVE_MAX_QUBITS})")
-    evolve.add_argument("--w", default="0", help="target index (default 0)")
+    grover = search_command("grover", "run the digital search")
+    grover.add_argument("--k", default="optimal", help=f"iteration count (0..{MAX_STEPS}), 'optimal', or 'paper'")
+
+    evolve = search_command("evolve", "evolve the start state under one generator")
     evolve.add_argument(
         "--hamiltonian",
         choices=("fg", "commutator", "augmented"),
         required=True,
         help="which generator drives the evolution",
     )
-    evolve.add_argument("--t", default="t0", help="evolution time, 't0', or 'arrival'")
+    evolve.add_argument("--t", type=_time, default="t0", help="evolution time, 't0', or 'arrival'")
     evolve.add_argument("--energy", type=float, default=1.0, help="energy scale E (default 1)")
 
-    naive = sub.add_parser("naive", help="run the renormalised incremental stepper")
-    naive.add_argument("--n", required=True, help=f"qubit count (1..{MAX_QUBITS})")
-    naive.add_argument("--w", default="0", help="target index (default 0)")
+    naive = search_command("naive", "run the renormalised incremental stepper")
     naive.add_argument("--eps", type=float, required=True, help="step size in (0, 0.1]")
-    naive.add_argument("--max-steps", type=int, default=None, help="trajectory length (default: auto)")
+    naive.add_argument(
+        "--max-steps", type=int, default=None, help=f"trajectory length (1..{MAX_STEPS}; default: auto)"
+    )
 
     verify = sub.add_parser("verify", help="run verification sweeps")
     verify.add_argument("--checks", default="all", help=f"'all' or comma list of {', '.join(CHECK_NAMES)}")
@@ -347,44 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "grover":
-        args.n = _int_in(parser, args.n, 1, MAX_QUBITS, "--n")
-        args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
-        if args.k not in ("optimal", "paper"):
-            try:
-                int(args.k)
-            except ValueError:
-                parser.error("--k must be a nonnegative integer, 'optimal', or 'paper'")
-        handler = cmd_grover
-    elif args.command == "evolve":
-        args.n = _int_in(parser, args.n, 1, _EVOLVE_MAX_QUBITS, "--n")
-        args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
-        try:
-            validate_energy(args.energy)
-        except ValueError as error:
-            parser.error(f"--energy: {error}")
-        if args.t not in ("t0", "arrival"):
-            try:
-                t = float(args.t)
-            except ValueError:
-                parser.error("--t must be a number, 't0', or 'arrival'")
-            if not math.isfinite(t):
-                parser.error(f"--t must be finite, got {args.t}")
-        handler = cmd_evolve
-    elif args.command == "naive":
-        args.n = _int_in(parser, args.n, 1, MAX_QUBITS, "--n")
-        args.w = _int_in(parser, args.w, 0, 2**args.n - 1, "--w")
-        try:
-            validate_stepper(args.eps, args.max_steps)
-        except ValueError as error:
-            parser.error(f"--eps/--max-steps: {error}")
-        handler = cmd_naive
-    else:
-        handler = cmd_verify
-
+    # looked up at call time, so a wrapper installed on the module is called
+    handlers = {"grover": cmd_grover, "evolve": cmd_evolve, "naive": cmd_naive, "verify": cmd_verify}
     try:
-        return handler(args, parser)
+        return handlers[args.command](args, parser)
     except (OrthogonalStartError, DegeneratePlaneError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -23,11 +23,12 @@ from itertools import islice
 import numpy as np
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
-from .linalg import is_unitary, uniform_state
+from .linalg import MAX_DENSE_QUBITS, check_qubits, is_unitary, uniform_state
 from .plane import PlaneCoords, PlaneOperator
 
-#: largest register a search instance (and the CLI's --n of grover and naive) accepts
-MAX_QUBITS = 12
+#: most iterates or stepper steps a walk takes (grover's k, naive's step
+#: count); its trajectory holds one more point, the start
+MAX_STEPS = 10**7
 
 #: overlaps within this distance of 0 or 1 leave no (start, target) plane
 _OVERLAP_EPS = 1e-12
@@ -46,6 +47,13 @@ def check_overlap(x: float) -> float:
     if x > 1.0 - _OVERLAP_EPS:
         raise DegeneratePlaneError(f"overlap {x!r} is not below one; the start coincides with the target")
     return x
+
+
+def check_steps(count: int, least: int = 0) -> int:
+    """Return a walk length ``count`` if it lies in [least, MAX_STEPS]."""
+    if not least <= count <= MAX_STEPS:
+        raise ValueError(f"step count must lie in [{least}, {MAX_STEPS}], got {count}")
+    return count
 
 
 def overlap_phase(overlap: complex) -> tuple[complex, float]:
@@ -71,8 +79,7 @@ class SearchProblem:
     w: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        check_qubits(self.n)
         if not 0 <= self.w < 2**self.n:
             raise ValueError(f"target index {self.w} out of range [0, {2 ** self.n})")
 
@@ -98,8 +105,10 @@ def oracle_inverter(problem: SearchProblem) -> np.ndarray:
     """Reflection I - 2|w><w| that flips the phase of the marked basis state.
 
     Diagonal with entry -1 at (w, w) and +1 elsewhere, so it can be realised
-    from oracle access to the indicator function alone.
+    from oracle access to the indicator function alone.  Dense, so the
+    register is capped at ``MAX_DENSE_QUBITS``.
     """
+    check_qubits(problem.n, MAX_DENSE_QUBITS)
     d = np.ones(problem.dim, dtype=complex)
     d[problem.w] = -1.0
     return np.diag(d)
@@ -131,10 +140,10 @@ def walsh_hadamard(n: int) -> np.ndarray:
 
     Entry (i, j) is 2**(-n/2) * (-1)**popcount(i & j).  Self-inverse, unitary,
     and maps |0> to the uniform superposition.  The +/-1 pattern is built
-    exactly and scaled once, so every entry is exactly +/- 2**(-n/2).
+    exactly and scaled once, so every entry is exactly +/- 2**(-n/2).  Dense,
+    so n is capped at ``MAX_DENSE_QUBITS``.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    check_qubits(n, MAX_DENSE_QUBITS)
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     m = np.array([[1.0]], dtype=complex)
     for _ in range(n):
@@ -229,17 +238,17 @@ def grover_walk(x: float):
 
 def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[np.ndarray, float]:
     """Apply G k times to the prepared state U|0> and report the final state
-    and the probability of measuring the target."""
-    if k < 0:
-        raise ValueError(f"iteration count must be nonnegative, got {k}")
+    and the probability of measuring the target.  k is checked by
+    :func:`check_steps`."""
+    check_steps(k)
     coords = next(islice(grover_walk(driver.x), k, None))
     state = coords.lift(driver.matrix[:, 0], problem.w)
     return state, float(abs(coords.target_amplitude(driver.x)) ** 2)
 
 
 def success_trajectory(problem: SearchProblem, driver: DriverUnitary, k_max: int) -> np.ndarray:
-    """Success probability after 0, 1, ..., k_max applications of G."""
-    if k_max < 0:
-        raise ValueError(f"iteration count must be nonnegative, got {k_max}")
+    """Success probability after 0, 1, ..., k_max applications of G; k_max is
+    checked by :func:`check_steps`."""
+    check_steps(k_max)
     walk = islice(grover_walk(driver.x), k_max + 1)
     return np.array([abs(coords.target_amplitude(driver.x)) ** 2 for coords in walk])

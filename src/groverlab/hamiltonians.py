@@ -40,8 +40,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePlaneError
-from .grover import _OVERLAP_EPS, SearchProblem, check_overlap, iterate_operator, overlap_phase, uniform_start
-from .linalg import basis_state
+from .grover import (
+    _OVERLAP_EPS,
+    SearchProblem,
+    check_overlap,
+    check_steps,
+    iterate_operator,
+    overlap_phase,
+    uniform_start,
+)
+from .linalg import MAX_DENSE_QUBITS, basis_state, check_qubits
 from .plane import PlaneCoords, PlaneOperator, plane_basis
 
 _T0_SERIES_CUTOFF = 1e-6
@@ -238,8 +246,10 @@ def naive_generator(problem: SearchProblem) -> np.ndarray:
 
     Real skew-symmetric with integer entries: row w is all +1, column w all
     -1, zero elsewhere (and on the diagonal).  Applying I + eps*A moves an eps
-    fraction of every unmarked amplitude onto the target.
+    fraction of every unmarked amplitude onto the target.  Dense, so the
+    register is capped at ``MAX_DENSE_QUBITS``.
     """
+    check_qubits(problem.n, MAX_DENSE_QUBITS)
     dim = problem.dim
     a = np.zeros((dim, dim), dtype=complex)
     a[problem.w, :] = 1.0
@@ -257,12 +267,12 @@ def naive_step(phi, generator, eps: float) -> np.ndarray:
 
 
 def validate_stepper(eps: float, max_steps: int | None = None) -> None:
-    """Reject a step size outside (0, 0.1] and a step count below 1 (``None``
-    leaves the count to the caller)."""
+    """Reject a step size outside (0, 0.1] and a step count outside
+    [1, MAX_STEPS] (``None`` leaves the count to the caller)."""
     if not 0.0 < eps <= 0.1:
         raise ValueError(f"step size must lie in (0, 0.1], got {eps}")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError(f"step count must be positive, got {max_steps}")
+    if max_steps is not None:
+        check_steps(max_steps, 1)
 
 
 @dataclass(frozen=True)

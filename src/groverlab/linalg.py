@@ -23,7 +23,13 @@ import numpy as np
 PREDICATE_ATOL = 1e-10
 
 _SERIES_TOL = 1e-16
-_MAX_STATE_QUBITS = 20
+
+#: largest register a state, a search instance or a command accepts: states
+#: and plane work cost O(N)
+MAX_QUBITS = 20
+
+#: largest register a dense N x N reference builder accepts
+MAX_DENSE_QUBITS = 12
 
 
 def _as_operator(a) -> np.ndarray:
@@ -50,15 +56,20 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return v
 
 
+def check_qubits(n: int, limit: int = MAX_QUBITS) -> int:
+    """Return the qubit count n if it lies in [1, limit]."""
+    if not 1 <= n <= limit:
+        raise ValueError(f"qubit count must be in [1, {limit}], got {n}")
+    return n
+
+
 def uniform_state(n: int) -> np.ndarray:
     """Equal superposition over all 2**n basis states of an n-qubit register.
 
     Every amplitude is 2**(-n/2), so the overlap with any basis state is
     exactly 2**(-n/2).
     """
-    if not 1 <= n <= _MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {_MAX_STATE_QUBITS}], got {n}")
-    dim = 2**n
+    dim = 2 ** check_qubits(n)
     return np.full(dim, 2.0 ** (-n / 2), dtype=complex)
 
 

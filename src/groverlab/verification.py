@@ -44,7 +44,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .grover import MAX_QUBITS, SearchProblem, iterate_operator, uniform_start
+from .grover import SearchProblem, iterate_operator, uniform_start
 from .hamiltonians import (
     commutator_propagator,
     fg_evolution_closed_form,
@@ -53,17 +53,10 @@ from .hamiltonians import (
     iterate_plus_projector,
     validate_energy,
 )
+from .linalg import MAX_QUBITS
 from .plane import PlaneCoords
 
 CHECK_NAMES = ("theorem_main", "norm_gap", "corollary", "fg_arrival")
-
-#: inclusive n-range each check supports
-CHECK_RANGES = {
-    "theorem_main": (2, 10),
-    "norm_gap": (2, 10),
-    "corollary": (2, 12),
-    "fg_arrival": (2, 10),
-}
 
 CSV_COLUMNS = ("check_name", "n", "N", "x", "t0", "measured", "predicted", "tolerance", "passed")
 
@@ -121,14 +114,17 @@ class SweepResult:
         return all(row.passed for row in self.rows)
 
 
-def _require_n(check: str, n: int) -> None:
-    lo, hi = CHECK_RANGES[check]
-    if not lo <= n <= hi:
-        raise ValueError(f"{check} supports n in [{lo}, {hi}], got {n}")
+def _check_n_range(lo: int, hi: int) -> None:
+    if lo > hi:
+        raise ValueError(f"n-range is reversed: {lo}..{hi}")
+    if lo < 2 or hi > MAX_QUBITS:
+        raise ValueError(f"n-range must lie within [2, {MAX_QUBITS}], got {lo}..{hi}")
 
 
 def _uniform_overlap(n: int) -> float:
-    """Overlap x = 2**(-n/2) of the uniform start with the target N-1."""
+    """Overlap x = 2**(-n/2) of the uniform start with the target N-1, for a
+    register size n the sweep accepts."""
+    _check_n_range(n, n)
     _, x = uniform_start(SearchProblem(n=n, w=2**n - 1))
     return x
 
@@ -146,7 +142,6 @@ def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, C
     default 1.0 is the identity regime, anything else serves as a negative
     control that must break the match.
     """
-    _require_n("theorem_main", n)
     x, dim, iterate, target = _commutator_setup(n)
     t = time_scale * grover_time(x)
     gap_once = (commutator_propagator(x, 1.0, t, dim) - target).norm()
@@ -158,7 +153,6 @@ def verify_theorem_main(n: int, time_scale: float = 1.0) -> tuple[CheckReport, C
 
 def norm_gap_vs_prediction(n: int) -> CheckReport:
     """Gap |e^{-iH} - (G + 2P)| against the (2/3) x^3 sqrt(1-x^2) estimate."""
-    _require_n("norm_gap", n)
     x, dim, _, target = _commutator_setup(n)
     measured = (commutator_propagator(x, 1.0, 1.0, dim) - target).norm()
     predicted = (2.0 / 3.0) * x**3 * math.sqrt(1.0 - x * x)
@@ -174,7 +168,6 @@ def verify_corollary(n: int, t: float | None = None) -> CheckReport:
     The evolved start is the first column of :func:`h_evolution_closed_form`,
     so the row costs the same at every n.
     """
-    _require_n("corollary", n)
     x = _uniform_overlap(n)
     if t is None:
         t = math.pi / 4.0 * math.sqrt(2**n)
@@ -190,7 +183,6 @@ def verify_fg_arrival(n: int, energy: float = 1.0, time_scale: float = 1.0) -> t
     the full vector against -i e^{-i pi/(2x)} |w>.  ``time_scale`` shortens or
     stretches the evolution for control runs.
     """
-    _require_n("fg_arrival", n)
     validate_energy(energy)
     x = _uniform_overlap(n)
     t = time_scale * math.pi / (2.0 * energy * x)
@@ -217,33 +209,27 @@ _CHECK_RUNNERS = {
 
 def validate_sweep(checks, n_range: tuple[int, int]) -> None:
     """Reject unknown check names (listing the valid ones) and an n-range that
-    is reversed or leaves [2, MAX_QUBITS]."""
+    is reversed or leaves [2, MAX_QUBITS]; every check runs at every n in it."""
     unknown = [name for name in checks if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(
             f"unknown check name(s) {unknown}; valid names: {', '.join(CHECK_NAMES)}"
         )
-    lo, hi = n_range
-    if lo > hi:
-        raise ValueError(f"n-range is reversed: {lo}..{hi}")
-    if lo < 2 or hi > MAX_QUBITS:
-        raise ValueError(f"n-range must lie within [2, {MAX_QUBITS}], got {lo}..{hi}")
+    _check_n_range(*n_range)
 
 
 def run_sweep(checks, n_range: tuple[int, int]) -> SweepResult:
     """Run the named checks over an inclusive n-range.
 
-    The request is checked by :func:`validate_sweep`.  Cells outside a check's
-    supported range (see :data:`CHECK_RANGES`) are skipped, so mixed-range
-    sweeps remain usable.  Rows come back sorted by (check_name, n).
+    The request is checked by :func:`validate_sweep`.  Rows come back sorted by
+    (check_name, n).
     """
     checks = list(checks)
     validate_sweep(checks, n_range)
     lo, hi = n_range
     rows: list[CheckReport] = []
     for name in checks:
-        clo, chi = CHECK_RANGES[name]
-        for n in range(max(lo, clo), min(hi, chi) + 1):
+        for n in range(lo, hi + 1):
             rows.extend(_CHECK_RUNNERS[name](n))
     rows.sort(key=lambda row: (row.check_name, row.n))
     return SweepResult(

@@ -1,9 +1,12 @@
 import json
+import math
 import tracemalloc
 
 import pytest
 
 from groverlab.cli import main
+from groverlab.grover import MAX_STEPS, check_steps
+from groverlab.hamiltonians import validate_stepper
 
 
 #: t0 = 2 pi / (3 sqrt 3) at x = 1/2 (two qubits)
@@ -113,6 +116,32 @@ class TestEvolveCommand:
         )
         assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("hamiltonian", ["commutator", "augmented"])
+    @pytest.mark.parametrize("t", ["1e17", "1e300"])
+    def test_unresolvable_power_is_null(self, capsys, hamiltonian, t):
+        # beyond about 8e6 t0/E the float spacing of t/(t0/E) exceeds the
+        # 1e-9 integer test, so no Grover power can be told apart
+        payload = json.loads(run_cli(
+            capsys, "evolve", "--n", "3", "--hamiltonian", hamiltonian, "--t", t, "--format", "json"
+        )[1])
+        assert payload["grover_power"] is None
+        assert payload["grover_power_distance"] is None
+
+    @pytest.mark.parametrize("hamiltonian", ["commutator", "augmented"])
+    def test_thousandth_power_is_resolved(self, capsys, hamiltonian):
+        energy = 2.0
+        x = 2.0**-1.5
+        theta = math.acos(x)
+        t0 = (math.pi - 2 * theta) / math.sin(2 * theta)
+        code, out, _ = run_cli(
+            capsys, "evolve", "--n", "3", "--hamiltonian", hamiltonian,
+            "--t", repr(1000 * t0 / energy), "--energy", repr(energy), "--format", "json",
+        )  # fmt: skip
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["grover_power"] == 1000
+        assert payload["grover_power_distance"] <= 1e-9
+
     def test_rejects_unknown_hamiltonian(self):
         with pytest.raises(SystemExit):
             main(["evolve", "--n", "2", "--hamiltonian", "mystery"])
@@ -157,6 +186,32 @@ class TestNaiveCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["naive", "--n", "2", "--eps", "0"])
         assert excinfo.value.code == 2
+
+
+class TestTrajectoryLimit:
+    """grover's k and naive's step count are capped at MAX_STEPS."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grover", "--n", "3", "--k", "100000000000"),
+            ("naive", "--n", "4", "--eps", "1e-12"),
+            ("naive", "--n", "4", "--eps", "0.01", "--max-steps", str(10**12)),
+        ],
+    )
+    def test_overlong_trajectory_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert str(MAX_STEPS) in capsys.readouterr().err
+
+    def test_count_at_the_limit_is_accepted(self):
+        assert MAX_STEPS == 10**7
+        assert check_steps(MAX_STEPS) == MAX_STEPS
+        validate_stepper(0.01, MAX_STEPS)
+        for rule in (check_steps, lambda count: validate_stepper(0.01, count)):
+            with pytest.raises(ValueError):
+                rule(MAX_STEPS + 1)
 
 
 class TestVerifyCommand:

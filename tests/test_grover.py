@@ -30,7 +30,7 @@ class TestSearchProblem:
     def test_dim(self):
         assert SearchProblem(n=3, w=5).dim == 8
 
-    @pytest.mark.parametrize("n,w", [(0, 0), (13, 0), (2, 4), (2, -1)])
+    @pytest.mark.parametrize("n,w", [(0, 0), (21, 0), (2, 4), (2, -1)])
     def test_rejects_bad_instances(self, n, w):
         with pytest.raises(ValueError):
             SearchProblem(n=n, w=w)
@@ -59,6 +59,11 @@ class TestInverters:
     def test_zero_inverter_squares_to_identity(self):
         i0 = zero_inverter(8)
         np.testing.assert_allclose(i0 @ i0, np.eye(8), atol=1e-15)
+
+    def test_oracle_inverter_keeps_the_dense_cap(self):
+        SearchProblem(n=20, w=0)  # the plane route's cap
+        with pytest.raises(ValueError):
+            oracle_inverter(SearchProblem(n=13, w=0))
 
     def test_zero_inverter_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):

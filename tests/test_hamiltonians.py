@@ -352,6 +352,10 @@ class TestNaiveGenerator:
         assert np.array_equal(a.T, -a)
         assert np.all(a.imag == 0.0)
 
+    def test_keeps_the_dense_cap(self):
+        with pytest.raises(ValueError):
+            naive_generator(SearchProblem(n=13, w=0))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutator_hamiltonian_is_scaled_generator(self, n):
         # H = (2ix/sqrt(N)) A for the uniform start and unit energy

@@ -31,7 +31,7 @@ class TestTheoremMain:
         assert once.measured > 1e-3
         assert not once.passed
 
-    @pytest.mark.parametrize("n", [1, 11])
+    @pytest.mark.parametrize("n", [1, 21])
     def test_out_of_range(self, n):
         with pytest.raises(ValueError):
             verify_theorem_main(n)
@@ -153,9 +153,17 @@ class TestRunSweep:
         assert len(result.rows) == 3
         assert not result.all_passed
 
-    def test_out_of_domain_cells_are_skipped(self):
+    def test_every_check_runs_at_every_n(self):
         result = run_sweep(["corollary", "theorem_main"], (11, 12))
-        assert {row.check_name for row in result.rows} == {"corollary"}
+        keys = [(row.check_name, row.n) for row in result.rows]
+        assert keys == [
+            ("corollary", 11),
+            ("corollary", 12),
+            ("theorem_main_iterate", 11),
+            ("theorem_main_iterate", 12),
+            ("theorem_main_square", 11),
+            ("theorem_main_square", 12),
+        ]
 
     def test_empty_check_list(self):
         result = run_sweep([], (2, 4))
