@@ -33,8 +33,6 @@ import math
 import sys
 from itertools import islice
 
-import numpy as np
-
 from .errors import DegeneratePlaneError, OrthogonalStartError
 from .grover import (
     MAX_STEPS,
@@ -43,7 +41,7 @@ from .grover import (
     grover_walk,
     iterate_operator,
     iteration_count,
-    uniform_start,
+    uniform_overlap,
 )
 from .hamiltonians import (
     augmented_propagator,
@@ -121,23 +119,37 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return value, value
 
 
+def _top_outcomes(coords: PlaneCoords, x: float, problem: SearchProblem) -> list[tuple[int, float]]:
+    """The four (at most N) likeliest measurement outcomes of the state with
+    plane coordinates ``coords`` from the uniform start, as (index,
+    probability), likeliest first and ties by index.
+
+    Every amplitude of the start is x, so every index but w has probability
+    |c_sigma x|^2 and w has |c_sigma x + c_w|^2: only w and the lowest other
+    indices can be listed.
+    """
+    count = min(4, problem.dim)
+    others = [i for i in range(min(count + 1, problem.dim)) if i != problem.w][:count]
+    other = abs(coords.c_sigma * x) ** 2
+    outcomes = [(problem.w, abs(coords.target_amplitude(x)) ** 2), *((i, other) for i in others)]
+    return sorted(outcomes, key=lambda outcome: (-outcome[1], outcome[0]))[:count]
+
+
 def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
     problem = _checked(parser, "--n/--w", SearchProblem, args.n, args.w)
-    sigma, x = uniform_start(problem)
+    x = uniform_overlap(problem.n)
     counts = iteration_count(x)
     k = _checked(parser, "--k", _iterations, args.k, counts)
     k_max = max(k, counts.optimal, counts.paper)
-    k_trajectory = np.empty(k_max + 1)
+    k_trajectory = []
     for j, coords in enumerate(islice(grover_walk(x), k_max + 1)):
-        k_trajectory[j] = abs(coords.target_amplitude(x)) ** 2
+        k_trajectory.append(abs(coords.target_amplitude(x)) ** 2)
         if j == k:
-            probabilities = np.abs(coords.lift(sigma, problem.w)) ** 2  # final measurement distribution
-    p_final = float(k_trajectory[k])
-    p_optimal = float(k_trajectory[counts.optimal])
-    p_paper = float(k_trajectory[counts.paper])
-    # stable, so outcomes of equal probability are listed by index
-    order = np.argsort(-probabilities, kind="stable")[: min(4, problem.dim)]
-    top = ";".join(f"{int(i)}:{float(probabilities[i])!r}" for i in order)
+            outcomes = _top_outcomes(coords, x, problem)  # final measurement distribution
+    p_final = k_trajectory[k]
+    p_optimal = k_trajectory[counts.optimal]
+    p_paper = k_trajectory[counts.paper]
+    top = ";".join(f"{i}:{p!r}" for i, p in outcomes)
 
     if args.format == "json":
         payload = {
@@ -151,10 +163,8 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
             "p_final": p_final,
             "p_optimal": p_optimal,
             "p_paper": p_paper,
-            "trajectory": [float(p) for p in k_trajectory[: k + 1]],
-            "top_outcomes": [
-                {"index": int(i), "probability": float(probabilities[i])} for i in order
-            ],
+            "trajectory": k_trajectory[: k + 1],
+            "top_outcomes": [{"index": i, "probability": p} for i, p in outcomes],
         }
         _write(_json_dumps(payload), args.out)
     else:
@@ -167,7 +177,7 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
             f"# top_outcomes={top}",
             "iteration,success_probability",
         ]
-        lines += [f"{j},{float(p)!r}" for j, p in enumerate(k_trajectory[: k + 1])]
+        lines += [f"{j},{p!r}" for j, p in enumerate(k_trajectory[: k + 1])]
         _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -175,7 +185,7 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
 def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     problem = _checked(parser, "--n/--w", SearchProblem, args.n, args.w)
     _checked(parser, "--energy", validate_energy, args.energy)
-    sigma, x = uniform_start(problem)
+    x = uniform_overlap(problem.n)
     theta = math.acos(x)
     t0 = matching_time(x, args.energy)
     arrival = math.pi / (2.0 * args.energy * x)
@@ -191,17 +201,12 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
             evolved = PlaneCoords(evolved.c_sigma.conjugate(), evolved.c_w.conjugate())
     else:
         # e^{-iHt} and e^{-iH~t} act alike on the plane
-        column = h_evolution_closed_form(x, args.energy, t)[:, 0]
-        evolved = PlaneCoords(complex(column[0]), complex(column[1]))
-    state = evolved.lift(sigma, problem.w)
-    fidelity = float(abs(state[problem.w]) ** 2)
-
-    # coefficients in the non-orthogonal (start, target) basis; they give the
-    # orthogonal projection onto the plane, so the rest is the leakage out of it
-    gram = np.array([[1.0, x], [x, 1.0]], dtype=complex)
-    rhs = np.array([sigma.conj() @ state, state[problem.w]], dtype=complex)
-    c_sigma, c_w = np.linalg.solve(gram, rhs)
-    out_of_plane = float(np.linalg.norm(state - PlaneCoords(c_sigma, c_w).lift(sigma, problem.w)))
+        (c_sigma, _), (c_w, _) = h_evolution_closed_form(x, args.energy, t)
+        evolved = PlaneCoords(complex(c_sigma), complex(c_w))
+    c_sigma, c_w = evolved.c_sigma, evolved.c_w
+    fidelity = abs(evolved.target_amplitude(x)) ** 2
+    # the evolved state is built on the plane, so it has no part off it
+    out_of_plane = 0.0
 
     power = None
     power_distance = None
@@ -232,8 +237,8 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
             "arrival_time": arrival,
             "t": t,
             "fidelity": fidelity,
-            "c_sigma": [float(c_sigma.real), float(c_sigma.imag)],
-            "c_w": [float(c_w.real), float(c_w.imag)],
+            "c_sigma": [c_sigma.real, c_sigma.imag],
+            "c_w": [c_w.real, c_w.imag],
             "out_of_plane": out_of_plane,
             "grover_power": power,
             "grover_power_distance": power_distance,
@@ -268,7 +273,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
 def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
     problem = _checked(parser, "--n/--w", SearchProblem, args.n, args.w)
     _checked(parser, "--eps/--max-steps", validate_stepper, args.eps, args.max_steps)
-    _, x = uniform_start(problem)
+    x = uniform_overlap(problem.n)
     theta = math.acos(x)
     predicted_peak = theta / (args.eps * math.sqrt(problem.dim) * math.sin(theta))
     max_steps = args.max_steps
@@ -289,7 +294,7 @@ def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
             "peak_step": result.peak_step,
             "peak_amplitude": result.peak_amplitude,
             "predicted_peak_step": predicted_peak,
-            "trajectory": [float(a) for a in result.amplitudes],
+            "trajectory": result.amplitudes,
         }
         _write(_json_dumps(payload), args.out)
     else:
@@ -299,7 +304,7 @@ def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
             f"# predicted_peak_step={predicted_peak!r}",
             "step,w_amplitude",
         ]
-        lines += [f"{j},{float(a)!r}" for j, a in enumerate(result.amplitudes)]
+        lines += [f"{j},{a!r}" for j, a in enumerate(result.amplitudes)]
         _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -373,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command in (grover, evolve, naive, verify):
         command.add_argument("--format", choices=("csv", "json"), default="csv")
         command.add_argument("--out", default="-", help="output path, or '-' for stdout")
+        # a handler's usage errors name its subcommand and show its options
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -382,7 +389,7 @@ def main(argv=None) -> int:
     # looked up at call time, so a wrapper installed on the module is called
     handlers = {"grover": cmd_grover, "evolve": cmd_evolve, "naive": cmd_naive, "verify": cmd_verify}
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args, args.command_parser)
     except (OrthogonalStartError, DegeneratePlaneError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

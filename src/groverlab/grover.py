@@ -1,29 +1,21 @@
 """Digital Grover search over a single marked element.
 
-Builds the two reflections (about |0> and about the target), an arbitrary
-driver unitary with nonzero start-target overlap, the search iterate
-
-    G = -U I_0 U^{-1} I_w,
-
-and runs the iterated search.  The driver is phase-adjusted so that the
-overlap x = <w|U|0> is real and positive; this adjustment never changes G.
-
-G acts on the (start, target) plane by :func:`grover_on_plane` and as -1 on
-its orthogonal complement, whatever the driver, so the walk, the iteration
-counts and :func:`iterate_operator` need only x; the dense
-:func:`grover_iterate` is kept as the independent reference.
+The search iterate G = -U I_0 U^{-1} I_w, built from the two reflections
+(about |0> and about the target) and a driver unitary U, acts on the
+(start, target) plane by :func:`grover_on_plane` and as -1 on its orthogonal
+complement, whatever the driver, once the driver's phase makes the overlap
+x = <w|U|0> real positive (a phase that never changes G).  So the walk, the
+iteration counts and :func:`iterate_operator` need only x; for the
+Walsh-Hadamard driver x = 2**(-n/2) (:func:`uniform_overlap`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-
-import numpy as np
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
-from .linalg import MAX_DENSE_QUBITS, check_qubits, is_unitary, uniform_state
+from .linalg import check_qubits, mat_vec
 from .plane import PlaneCoords, PlaneOperator
 
 #: most iterates or stepper steps a walk takes (grover's k, naive's step
@@ -56,17 +48,6 @@ def check_steps(count: int, least: int = 0) -> int:
     return count
 
 
-def overlap_phase(overlap: complex) -> tuple[complex, float]:
-    """Unit phase that makes ``overlap`` real positive, and its modulus x.
-
-    Multiplying a start state (or a driver) by the phase leaves every
-    projector and the iterate unchanged.  x is validated by
-    :func:`check_overlap`.
-    """
-    x = check_overlap(abs(overlap))
-    return overlap.conjugate() / x, x
-
-
 @dataclass(frozen=True)
 class SearchProblem:
     """A search instance: n qubits and the single marked index w.
@@ -88,105 +69,14 @@ class SearchProblem:
         return 2**self.n
 
 
-@dataclass(frozen=True)
-class DriverUnitary:
-    """A driver unitary together with its (phase-adjusted) start-target overlap.
-
-    ``matrix`` already carries the phase that makes x = <w|U|0> real positive,
-    and theta = arccos(x).
-    """
-
-    matrix: np.ndarray
-    x: float
-    theta: float
+def uniform_overlap(n: int) -> float:
+    """Overlap x = 2**(-n/2) of the uniform start, the Walsh-Hadamard driver's
+    U|0>, with any target of an n-qubit register; validated by
+    :func:`check_overlap`."""
+    return check_overlap(2.0 ** (-n / 2))
 
 
-def oracle_inverter(problem: SearchProblem) -> np.ndarray:
-    """Reflection I - 2|w><w| that flips the phase of the marked basis state.
-
-    Diagonal with entry -1 at (w, w) and +1 elsewhere, so it can be realised
-    from oracle access to the indicator function alone.  Dense, so the
-    register is capped at ``MAX_DENSE_QUBITS``.
-    """
-    check_qubits(problem.n, MAX_DENSE_QUBITS)
-    d = np.ones(problem.dim, dtype=complex)
-    d[problem.w] = -1.0
-    return np.diag(d)
-
-
-def zero_inverter(dim: int) -> np.ndarray:
-    """Reflection I - 2|0><0| about the all-zeros basis state."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    d = np.ones(dim, dtype=complex)
-    d[0] = -1.0
-    return np.diag(d)
-
-
-def uniform_start(problem: SearchProblem) -> tuple[np.ndarray, float]:
-    """Start state U|0> of the Walsh-Hadamard driver, the uniform superposition,
-    and its overlap x = 2**(-n/2) with the target.
-
-    Built in O(N) by :func:`uniform_state` rather than as a column of the
-    N x N driver.  Every amplitude is real positive, so no phase adjustment is
-    needed; x is validated by :func:`check_overlap`.
-    """
-    sigma = uniform_state(problem.n)
-    return sigma, check_overlap(float(sigma[problem.w].real))
-
-
-def walsh_hadamard(n: int) -> np.ndarray:
-    """The n-qubit Walsh-Hadamard transform.
-
-    Entry (i, j) is 2**(-n/2) * (-1)**popcount(i & j).  Self-inverse, unitary,
-    and maps |0> to the uniform superposition.  The +/-1 pattern is built
-    exactly and scaled once, so every entry is exactly +/- 2**(-n/2).  Dense,
-    so n is capped at ``MAX_DENSE_QUBITS``.
-    """
-    check_qubits(n, MAX_DENSE_QUBITS)
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    m = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        m = np.kron(m, h)
-    m *= 2.0 ** (-n / 2)
-    return m
-
-
-def make_driver(matrix, problem: SearchProblem) -> DriverUnitary:
-    """Phase-adjust a unitary so <w|U|0> is real positive and package it.
-
-    The overlap is validated by :func:`check_overlap`.
-    """
-    matrix = _driver_matrix(matrix, problem)
-    if not is_unitary(matrix):
-        raise ValueError("driver matrix is not unitary")
-    phase, x = overlap_phase(complex(matrix[problem.w, 0]))
-    return DriverUnitary(matrix=matrix * phase, x=x, theta=math.acos(x))
-
-
-def _driver_matrix(matrix, problem: SearchProblem) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (problem.dim, problem.dim):
-        raise ValueError(f"driver shape {matrix.shape} does not match dimension {problem.dim}")
-    return matrix
-
-
-def grover_iterate(matrix, problem: SearchProblem) -> np.ndarray:
-    """Search iterate G = -U I_0 U^{-1} I_w for a driver matrix U.
-
-    U need not be phase-adjusted: a global phase cancels between U and
-    U^{-1}.  The two inverters are diagonal, so they are applied as column
-    scalings of their neighbours; the result is the exact four-factor product.
-    """
-    matrix = _driver_matrix(matrix, problem)
-    d0 = np.ones(problem.dim)
-    d0[0] = -1.0
-    dw = np.ones(problem.dim)
-    dw[problem.w] = -1.0
-    return -(((matrix * d0) @ matrix.conj().T) * dw)
-
-
-def grover_on_plane(x: float) -> np.ndarray:
+def grover_on_plane(x: float):
     """Action of G on coordinates in the non-orthogonal (start, target) basis.
 
     Columns are the images of the start and target states:
@@ -194,7 +84,7 @@ def grover_on_plane(x: float) -> np.ndarray:
         G|s> = (1 - 4x^2)|s> + 2x|w>,      G|w> = -2x|s> + |w>.
     """
     check_overlap(x)
-    return np.array([[1.0 - 4.0 * x * x, -2.0 * x], [2.0 * x, 1.0]])
+    return ((1.0 - 4.0 * x * x, -2.0 * x), (2.0 * x, 1.0))
 
 
 @dataclass(frozen=True)
@@ -230,25 +120,7 @@ def grover_walk(x: float):
     Each step is the 2x2 product with :func:`grover_on_plane`.
     """
     step = grover_on_plane(x)
-    coords = np.array([1.0, 0.0])
+    coords = (1.0, 0.0)
     while True:
         yield PlaneCoords(complex(coords[0]), complex(coords[1]))
-        coords = step @ coords
-
-
-def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[np.ndarray, float]:
-    """Apply G k times to the prepared state U|0> and report the final state
-    and the probability of measuring the target.  k is checked by
-    :func:`check_steps`."""
-    check_steps(k)
-    coords = next(islice(grover_walk(driver.x), k, None))
-    state = coords.lift(driver.matrix[:, 0], problem.w)
-    return state, float(abs(coords.target_amplitude(driver.x)) ** 2)
-
-
-def success_trajectory(problem: SearchProblem, driver: DriverUnitary, k_max: int) -> np.ndarray:
-    """Success probability after 0, 1, ..., k_max applications of G; k_max is
-    checked by :func:`check_steps`."""
-    check_steps(k_max)
-    walk = islice(grover_walk(driver.x), k_max + 1)
-    return np.array([abs(coords.target_amplitude(driver.x)) ** 2 for coords in walk])
+        coords = mat_vec(step, coords)

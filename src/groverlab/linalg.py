@@ -1,164 +1,82 @@
-"""Dense complex linear algebra: states, and the reference operator routes.
+"""The register cap, and complex 2x2 algebra in plain Python.
 
-Conventions used throughout the package:
-
-* a *state* is a one-dimensional ``complex128`` array of unit Euclidean norm;
-* an *operator* is a square ``complex128`` array, stored dense and row-major;
-* the *operator norm* is the spectral norm ``sup_{|v|=1} |Av|``, i.e. the
-  largest singular value.
-
-States are O(N) vectors.  The operator functions (spectral norm, series
-and eigendecomposition exponentials, the compound-interest limit) take dense
-N x N matrices, cost O(N^3), and serve as the independent reference the test
-suite holds the plane route of :mod:`groverlab.plane` against; the commands
-never call them.  All functions are pure and results are safe to share
-across threads.
+Every operator of the search is a scalar plus a rank-2 part on the (start,
+target) plane (see :mod:`groverlab.plane`), so the package computes with 2x2
+matrices and 2-vectors only.  A *matrix* is a tuple of two rows
+``((a, b), (c, d))`` and a *vector* a pair ``(p, q)``; entries are floats or
+complex numbers.  The functions are pure.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-#: absolute entrywise tolerance for the structural predicates below
-PREDICATE_ATOL = 1e-10
-
-_SERIES_TOL = 1e-16
-
-#: largest register a state, a search instance or a command accepts: states
-#: and plane work cost O(N)
+#: largest register a search instance or a command accepts.  No command
+#: builds an N-dimensional vector, so the cap is set by precision, not
+#: memory: differences of nearby plane operators lose digits as the overlap
+#: 2**(-n/2) shrinks, and the tests hold every output to its closed form up
+#: to this size
 MAX_QUBITS = 20
 
-#: largest register a dense N x N reference builder accepts
-MAX_DENSE_QUBITS = 12
 
-
-def _as_operator(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _require_finite(a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    """Computational basis vector |index> in a dim-dimensional space."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range [0, {dim})")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def check_qubits(n: int, limit: int = MAX_QUBITS) -> int:
-    """Return the qubit count n if it lies in [1, limit]."""
-    if not 1 <= n <= limit:
-        raise ValueError(f"qubit count must be in [1, {limit}], got {n}")
+def check_qubits(n: int) -> int:
+    """Return the qubit count n if it lies in [1, MAX_QUBITS]."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     return n
 
 
-def uniform_state(n: int) -> np.ndarray:
-    """Equal superposition over all 2**n basis states of an n-qubit register.
-
-    Every amplitude is 2**(-n/2), so the overlap with any basis state is
-    exactly 2**(-n/2).
-    """
-    dim = 2 ** check_qubits(n)
-    return np.full(dim, 2.0 ** (-n / 2), dtype=complex)
+def mat_vec(a, v):
+    """Product of a 2x2 matrix and a 2-vector."""
+    (a00, a01), (a10, a11) = a
+    p, q = v
+    return (a00 * p + a01 * q, a10 * p + a11 * q)
 
 
-def is_hermitian(a, atol: float = PREDICATE_ATOL) -> bool:
-    a = _as_operator(a)
-    return bool(np.allclose(a, a.conj().T, rtol=0.0, atol=atol))
+def mat_mul(a, b):
+    """Product of two 2x2 matrices."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+    )
 
 
-def is_skew_hermitian(a, atol: float = PREDICATE_ATOL) -> bool:
-    a = _as_operator(a)
-    return bool(np.allclose(a, -a.conj().T, rtol=0.0, atol=atol))
+def mat_sub(a, b):
+    """Difference of two 2x2 matrices."""
+    return tuple(tuple(x - y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a, b))
 
 
-def is_unitary(a, atol: float = PREDICATE_ATOL) -> bool:
-    a = _as_operator(a)
-    return bool(np.allclose(a @ a.conj().T, np.eye(a.shape[0]), rtol=0.0, atol=atol))
-
-
-def operator_norm(a) -> float:
-    """Spectral norm (largest singular value) of an operator.
-
-    Submultiplicative, and equal to 1 for every unitary.
-    """
-    a = _require_finite(_as_operator(a))
-    return float(np.linalg.norm(a, 2))
-
-
-def matrix_exponential(a) -> np.ndarray:
-    """Exponential ``e^A`` summed from the power series, with scaling and squaring.
-
-    The argument is halved until its spectral norm is at most 0.5, the series
-    I + A + A^2/2! + ... is summed until the next term falls below 1e-16 in
-    Frobenius norm, and the result is squared back up.  Works for arbitrary
-    square matrices; see :func:`hermitian_propagator` for the eigenvalue-based
-    route available when the generator is hermitian.
-    """
-    a = _require_finite(_as_operator(a))
-    dim = a.shape[0]
-    norm = operator_norm(a)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        a = a / (2.0**squarings)
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    k = 1
-    while True:
-        term = term @ a / k
-        result = result + term
-        if np.linalg.norm(term) < _SERIES_TOL:
-            break
-        k += 1
-        if k > 128:  # unreachable for scaled norm <= 0.5; guards bad input
-            raise RuntimeError("matrix exponential series failed to converge")
-    for _ in range(squarings):
-        result = result @ result
+def mat_power(a, k: int):
+    """The k-th power of a 2x2 matrix, k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError(f"power must be nonnegative, got {k}")
+    result = ((1.0, 0.0), (0.0, 1.0))
+    square = a
+    while k:
+        k, bit = divmod(k, 2)
+        if bit:
+            result = mat_mul(result, square)
+        if k:
+            square = mat_mul(square, square)
     return result
 
 
-def hermitian_propagator(h, t: float = 1.0) -> np.ndarray:
-    """Unitary ``e^{-i h t}`` for hermitian ``h``, via eigendecomposition.
+def _abs2(z) -> float:
+    return z.real * z.real + z.imag * z.imag
 
-    Independent of the series route in :func:`matrix_exponential`; the two are
-    cross-checked in the test suite.
+
+def spectral_norm(a) -> float:
+    """Largest singular value of a 2x2 matrix M.
+
+    The square root of the larger eigenvalue m + hypot(d, |g12|) of the Gram
+    matrix M^dagger M, where m is half the sum and d half the difference of
+    its diagonal and g12 its off-diagonal entry: both terms are nonnegative,
+    so the sum adds no cancellation.
     """
-    h = _require_finite(_as_operator(h))
-    if not is_hermitian(h):
-        raise ValueError("propagator generator must be hermitian")
-    eigenvalues, vectors = np.linalg.eigh(h)
-    phases = np.exp(-1j * eigenvalues * t)
-    return (vectors * phases) @ vectors.conj().T
-
-
-def power_limit_approx(a, k: int) -> np.ndarray:
-    """Compound-interest approximation ``(I + A/k)^k`` of the exponential.
-
-    Converges to ``e^A`` as k grows, with error O(1/k) for fixed A.
-    """
-    a = _as_operator(a)
-    if k < 1:
-        raise ValueError(f"power count must be a positive integer, got {k}")
-    factor = np.eye(a.shape[0], dtype=complex) + a / k
-    return np.linalg.matrix_power(factor, k)
-
-
-def commutator(a, b) -> np.ndarray:
-    """Commutator ``AB - BA``."""
-    a = _as_operator(a)
-    b = _as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+    (a00, a01), (a10, a11) = a
+    g00 = _abs2(a00) + _abs2(a10)
+    g11 = _abs2(a01) + _abs2(a11)
+    g01 = a00.conjugate() * a01 + a10.conjugate() * a11
+    return math.sqrt(0.5 * (g00 + g11) + math.hypot(0.5 * (g00 - g11), abs(g01)))

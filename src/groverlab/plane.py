@@ -7,6 +7,7 @@ normalised residual of |s> off |w>, so |s> = x|w> + sqrt(1 - x^2)|u>.  Every
 operator of the search (the iterate G, the propagators e^{-iHt}, e^{-iH't}
 and e^{-iH~t}, G + 2P) has the form c I + V M V^dagger with M 2x2, so its
 products, powers, differences and spectral norm cost the same at every N.
+Matrices and vectors are the tuples of :mod:`groverlab.linalg`.
 """
 
 from __future__ import annotations
@@ -14,18 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import basis_state
+from .linalg import mat_mul, mat_power, mat_sub, spectral_norm
 
 
-def plane_basis(x: float) -> np.ndarray:
+def plane_basis(x: float):
     """Columns |s> and |w> written in the orthonormal basis (|w>, |u>):
 
         [[x,              1],
          [sqrt(1 - x^2),  0]].
     """
-    return np.array([[x, 1.0], [math.sqrt(1.0 - x * x), 0.0]])
+    return ((x, 1.0), (math.sqrt(1.0 - x * x), 0.0))
 
 
 @dataclass(frozen=True)
@@ -43,16 +42,15 @@ class PlaneCoords:
     def plane_norm(self, x: float) -> float:
         """Norm of the represented state.
 
-        Taken from its components in the orthonormal basis (|w>, |u>) rather
-        than from the quadratic form with the cross term 2 Re(conj(c_sigma)
-        c_w x), which cancels to rounding noise of order 1e-16 for a state
-        near zero and would then leave a square root of order 1e-8.
+        Taken from its components c_sigma x + c_w and c_sigma sqrt(1 - x^2)
+        in the orthonormal basis (|w>, |u>) rather than from the quadratic
+        form with the cross term 2 Re(conj(c_sigma) c_w x), which cancels to
+        rounding noise of order 1e-16 for a state near zero and would then
+        leave a square root of order 1e-8.
         """
-        return float(np.linalg.norm(plane_basis(x) @ np.array([self.c_sigma, self.c_w])))
-
-    def lift(self, sigma: np.ndarray, w: int) -> np.ndarray:
-        """Expand the coefficients back into a full state vector."""
-        return self.c_sigma * sigma + self.c_w * basis_state(sigma.size, w)
+        along_w = self.target_amplitude(x)
+        along_u = self.c_sigma * math.sqrt(1.0 - x * x)
+        return math.hypot(along_w.real, along_w.imag, along_u.real, along_u.imag)
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class PlaneOperator:
     complement of the plane, which is empty when ``dim`` is 2.
     """
 
-    block: np.ndarray
+    block: tuple
     complement: complex
     dim: int
 
@@ -73,18 +71,20 @@ class PlaneOperator:
         """The operator whose plane action has ``matrix`` in the (start, target)
         basis, the basis of the closed forms, and which applies ``complement``
         off the plane."""
-        basis = plane_basis(x)
-        return cls(basis @ np.asarray(matrix) @ np.linalg.inv(basis), complex(complement), dim)
+        r = math.sqrt(1.0 - x * x)
+        inverse_basis = ((0.0, 1.0 / r), (1.0, -x / r))
+        block = mat_mul(mat_mul(plane_basis(x), matrix), inverse_basis)
+        return cls(block, complex(complement), dim)
 
     def __sub__(self, other: "PlaneOperator") -> "PlaneOperator":
-        return PlaneOperator(self.block - other.block, self.complement - other.complement, self.dim)
+        return PlaneOperator(mat_sub(self.block, other.block), self.complement - other.complement, self.dim)
 
     def power(self, k: int) -> "PlaneOperator":
         """The k-th power, k >= 0."""
-        return PlaneOperator(np.linalg.matrix_power(self.block, k), self.complement**k, self.dim)
+        return PlaneOperator(mat_power(self.block, k), self.complement**k, self.dim)
 
     def norm(self) -> float:
         """Spectral norm: the larger of the block's spectral norm and |c|, where
         |c| counts only when the complement is not empty (N > 2)."""
-        block_norm = float(np.linalg.norm(self.block, 2))
+        block_norm = spectral_norm(self.block)
         return max(block_norm, abs(self.complement)) if self.dim > 2 else block_norm

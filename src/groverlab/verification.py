@@ -36,15 +36,14 @@ them is random, and all run at unit energy.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
 from ._version import __version__
-from .grover import SearchProblem, iterate_operator, uniform_start
+from .grover import iterate_operator, uniform_overlap
 from .hamiltonians import (
     commutator_propagator,
     fg_evolution_closed_form,
@@ -125,8 +124,7 @@ def _uniform_overlap(n: int) -> float:
     """Overlap x = 2**(-n/2) of the uniform start with the target N-1, for a
     register size n the sweep accepts."""
     _check_n_range(n, n)
-    _, x = uniform_start(SearchProblem(n=n, w=2**n - 1))
-    return x
+    return uniform_overlap(n)
 
 
 def _commutator_setup(n: int):
@@ -171,8 +169,8 @@ def verify_corollary(n: int, t: float | None = None) -> CheckReport:
     x = _uniform_overlap(n)
     if t is None:
         t = math.pi / 4.0 * math.sqrt(2**n)
-    evolved = h_evolution_closed_form(x, 1.0, t)[:, 0]
-    measured = PlaneCoords(evolved[0], evolved[1] - 1.0).plane_norm(x)
+    (c_sigma, _), (c_w, _) = h_evolution_closed_form(x, 1.0, t)
+    measured = PlaneCoords(c_sigma, c_w - 1.0).plane_norm(x)
     return CheckReport.from_measurement("corollary", n, x, t, measured, 0.0, x)
 
 
@@ -188,7 +186,7 @@ def verify_fg_arrival(n: int, energy: float = 1.0, time_scale: float = 1.0) -> t
     t = time_scale * math.pi / (2.0 * energy * x)
     state = fg_evolution_closed_form(x, energy, t)
     fidelity = float(abs(state.target_amplitude(x)))
-    arrival = -1j * np.exp(-1j * math.pi / (2.0 * x))
+    arrival = -1j * cmath.exp(-1j * math.pi / (2.0 * x))
     state_gap = PlaneCoords(state.c_sigma, state.c_w - arrival).plane_norm(x)
     fid_row = CheckReport.from_measurement(
         "fg_arrival_fidelity", n, x, t, fidelity, 1.0, _EXACT_TOL

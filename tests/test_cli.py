@@ -1,12 +1,17 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from groverlab.cli import main
-from groverlab.grover import MAX_STEPS, check_steps
+import groverlab
+from groverlab.cli import _top_outcomes, main
+from groverlab.grover import MAX_STEPS, SearchProblem, check_steps
 from groverlab.hamiltonians import validate_stepper
+from groverlab.plane import PlaneCoords
 
 
 #: t0 = 2 pi / (3 sqrt 3) at x = 1/2 (two qubits)
@@ -53,6 +58,18 @@ class TestGroverCommand:
         payload = json.loads(out)
         assert payload["k"] == 2
         assert len(payload["trajectory"]) == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_top_outcomes_are_register_indices(self, n):
+        # a state with no target amplitude (c_w = -x c_sigma): every other
+        # index is likelier than w, and only the N indices may be listed
+        x = 2.0 ** (-n / 2)
+        for w in range(2**n):
+            outcomes = _top_outcomes(PlaneCoords(1.0, -x), x, SearchProblem(n, w))
+            indices = [index for index, _ in outcomes]
+            others = [i for i in range(2**n) if i != w][:4]
+            assert indices == (others + [w])[:4]
+            assert [p for _, p in outcomes][: len(others)] == [x * x] * len(others)
 
     def test_usage_error_on_bad_n(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -268,6 +285,59 @@ class TestVerifyCommand:
             )
             assert code == 0
         assert target_a.read_bytes() == target_b.read_bytes()
+
+
+class TestUsageErrors:
+    """A rule's usage error names the subcommand and shows its options."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("grover", "--n", "21"), "qubit count"),
+            (("evolve", "--n", "3", "--hamiltonian", "fg", "--energy", "0"), "energy"),
+            (("naive", "--n", "2", "--eps", "0"), "step size"),
+            (("verify", "--n", "8..2"), "reversed"),
+        ],
+        ids=("grover", "evolve", "naive", "verify"),
+    )
+    def test_range_error_shows_the_subcommand_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        command = argv[0]
+        assert err.startswith(f"usage: groverlab {command} [-h]")
+        assert f"groverlab {command}: error:" in err
+        assert message in err
+
+
+class TestWithoutNumpy:
+    """No command imports NumPy: each runs with the import blocked."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["grover", "--n", "12", "--w", "7"], 0),
+            *((["evolve", "--n", "10", "--w", "3", "--hamiltonian", h], 0) for h in ("fg", "commutator", "augmented")),
+            (["naive", "--n", "12", "--eps", "0.001"], 0),
+            (["verify", "--checks", "all", "--n", "2..20"], 1),  # the norm_gap rows fail by design
+        ],
+        ids=("grover", "evolve-fg", "evolve-commutator", "evolve-augmented", "naive", "verify"),
+    )
+    def test_command_runs_with_numpy_blocked(self, argv, code):
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from groverlab.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        src = str(Path(groverlab.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": src},
+        )  # fmt: skip
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestMemory:

@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from groverlab.errors import OrthogonalStartError
-from groverlab.grover import (
+from dense_oracle import (
     DriverUnitary,
-    SearchProblem,
     grover_iterate,
-    grover_on_plane,
-    iteration_count,
+    is_unitary,
     make_driver,
+    operator_norm,
     oracle_inverter,
+    plane_projector_complement,
     run_grover,
     success_trajectory,
+    uniform_state,
     walsh_hadamard,
     zero_inverter,
 )
-from groverlab.hamiltonians import plane_projector_complement
-from groverlab.linalg import is_unitary, operator_norm, uniform_state
+from groverlab.errors import OrthogonalStartError
+from groverlab.grover import SearchProblem, grover_on_plane, iteration_count
 
 
 def uniform_driver(n: int, w: int) -> tuple[SearchProblem, DriverUnitary]:
@@ -219,7 +219,7 @@ class TestGroverOnPlane:
         wv = np.eye(8)[:, 1].astype(complex)
         x = driver.x
         gram = np.array([[1.0, x], [x, 1.0]], dtype=complex)
-        plane = grover_on_plane(x)
+        plane = np.asarray(grover_on_plane(x))
         for column, vector in ((0, sigma), (1, wv)):
             image = iterate @ vector
             rhs = np.array([sigma.conj() @ image, wv.conj() @ image])

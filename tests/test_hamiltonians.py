@@ -1,40 +1,39 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.errors import DegeneratePlaneError, OrthogonalStartError
-from groverlab.grover import (
-    SearchProblem,
-    grover_iterate,
-    grover_on_plane,
-    make_driver,
-    walsh_hadamard,
-)
-from groverlab.hamiltonians import (
+from dense_oracle import (
     augmented_hamiltonian,
-    commutator_hamiltonian,
-    fg_evolution_closed_form,
-    fg_hamiltonian,
-    grover_time,
-    h_eigensystem,
-    h_evolution_closed_form,
-    naive_generator,
-    naive_search,
-    naive_step,
-    plane_projector_complement,
-    t0_series,
-)
-from groverlab.linalg import (
     basis_state,
     commutator,
+    commutator_hamiltonian,
+    fg_hamiltonian,
+    grover_iterate,
+    h_eigensystem,
     hermitian_propagator,
     is_hermitian,
+    lift,
+    make_driver,
     matrix_exponential,
+    naive_generator,
+    naive_step,
     operator_norm,
+    plane_projector_complement,
     uniform_state,
+    walsh_hadamard,
+)
+from groverlab.errors import DegeneratePlaneError, OrthogonalStartError
+from groverlab.grover import SearchProblem, grover_on_plane
+from groverlab.hamiltonians import (
+    fg_evolution_closed_form,
+    grover_time,
+    h_evolution_closed_form,
+    naive_search,
+    t0_series,
 )
 
 overlaps = st.floats(min_value=0.01, max_value=0.99)
@@ -101,7 +100,7 @@ class TestFgEvolution:
         h = fg_hamiltonian(sigma, w)
         dense = hermitian_propagator(h, t) @ sigma
         coords = fg_evolution_closed_form(2 ** (-n / 2), 1.0, t)
-        assert np.linalg.norm(coords.lift(sigma, w) - dense) < 1e-10
+        assert np.linalg.norm(lift(coords, sigma, w) - dense) < 1e-10
 
     @settings(max_examples=50, deadline=None)
     @given(x=overlaps, t=times)
@@ -165,7 +164,7 @@ class TestEigensystem:
         x = 2 ** (-n / 2)
         h = commutator_hamiltonian(sigma, w)
         for eigenvalue, coords in h_eigensystem(x):
-            vector = coords.lift(sigma, w)
+            vector = lift(coords, sigma, w)
             assert np.linalg.norm(h @ vector - eigenvalue * vector) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -183,7 +182,7 @@ class TestCommutatorEvolution:
         x = 0.35
         theta = math.acos(x)
         eta = math.sin(2 * theta)
-        propagator = h_evolution_closed_form(x, 1.0, theta / eta)
+        propagator = np.asarray(h_evolution_closed_form(x, 1.0, theta / eta))
         np.testing.assert_allclose(propagator[:, 0], [0.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 0.8])
@@ -199,7 +198,7 @@ class TestCommutatorEvolution:
         h = commutator_hamiltonian(sigma, w)
         wv = basis_state(2**n, w)
         for t in np.linspace(0.0, 3.0, 7):
-            propagator = h_evolution_closed_form(x, 1.0, float(t))
+            propagator = np.asarray(h_evolution_closed_form(x, 1.0, float(t)))
             dense = hermitian_propagator(h, float(t))
             for column, start in ((0, sigma), (1, wv)):
                 lifted = propagator[0, column] * sigma + propagator[1, column] * wv
@@ -242,8 +241,17 @@ class TestGroverTime:
         assert grover_time(1e-7) == pytest.approx(1.0, abs=1e-10)
 
     def test_series_handoff_is_continuous(self):
-        # closed form just above the cutoff vs series just below
+        # no jump near x = 1e-6, where the arccos form loses half its digits
         assert grover_time(1.0000001e-6) == pytest.approx(grover_time(0.9999999e-6), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 80))
+    def test_matches_mpmath(self, n):
+        # every uniform overlap the plane route accepts: n = 79 is the last
+        # above the overlap floor of 1e-12
+        x = 2.0 ** (-n / 2)
+        with mpmath.workdps(60):
+            exact = mpmath.asin(x) / (x * mpmath.sqrt(1 - mpmath.mpf(x) ** 2))
+            assert abs(grover_time(x) - exact) / exact <= 1e-15
 
     def test_rejects_degenerate_overlaps(self):
         with pytest.raises(OrthogonalStartError):

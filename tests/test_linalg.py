@@ -1,25 +1,73 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.grover import SearchProblem, walsh_hadamard
-from groverlab.hamiltonians import commutator_hamiltonian, naive_generator
-from groverlab.linalg import (
+from dense_oracle import (
     basis_state,
     commutator,
+    commutator_hamiltonian,
     hermitian_propagator,
     is_hermitian,
     is_skew_hermitian,
     is_unitary,
     matrix_exponential,
+    naive_generator,
     operator_norm,
     power_limit_approx,
     uniform_state,
+    walsh_hadamard,
 )
+from groverlab.grover import SearchProblem
+from groverlab.linalg import mat_mul, mat_power, mat_vec, spectral_norm
+
+
+def random_block(gen):
+    m = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+    return tuple(tuple(complex(v) for v in row) for row in m)
+
+
+class TestPlaneAlgebra:
+    """The pure-Python 2x2 algebra against numpy and, for the norm, mpmath."""
+
+    def test_products_match_numpy(self, rng):
+        for _ in range(20):
+            a, b = random_block(rng), random_block(rng)
+            v = (complex(rng.normal()), complex(rng.normal(), rng.normal()))
+            np.testing.assert_allclose(mat_mul(a, b), np.asarray(a) @ np.asarray(b), rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(mat_vec(a, v), np.asarray(a) @ np.asarray(v), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 64, 1000])
+    def test_power_matches_numpy(self, k):
+        theta = 0.3
+        rotation = ((math.cos(theta), -math.sin(theta)), (math.sin(theta), math.cos(theta)))
+        np.testing.assert_allclose(
+            mat_power(rotation, k), np.linalg.matrix_power(np.asarray(rotation), k), rtol=0.0, atol=1e-12
+        )
+        with pytest.raises(ValueError):
+            mat_power(rotation, -1)
+
+    def test_spectral_norm_matches_svd(self, rng):
+        for _ in range(50):
+            a = random_block(rng)
+            assert spectral_norm(a) == pytest.approx(np.linalg.norm(np.asarray(a), 2), rel=1e-14)
+        assert spectral_norm(((0.0, 0.0), (0.0, 0.0))) == 0.0
+        assert spectral_norm(((3.0, 0.0), (0.0, -5.0))) == 5.0
+
+    @pytest.mark.parametrize("exponent", range(3, 10))
+    def test_spectral_norm_of_a_small_difference_matches_mpmath(self, exponent):
+        # I - R(phi): two nearby unitaries, the shape of every norm_gap
+        # measurement; the Gram form adds no cancellation of its own
+        phi = 10.0**-exponent
+        c, s = math.cos(phi), math.sin(phi)
+        difference = ((1.0 - c, s), (-s, 1.0 - c))
+        with mpmath.workdps(60):
+            exact = max(mpmath.svd_r(mpmath.matrix(difference), compute_uv=False))
+            assert abs(spectral_norm(difference) - exact) <= 2e-16 * exact
 
 
 class TestUniformState:

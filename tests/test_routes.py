@@ -11,29 +11,26 @@ import math
 import numpy as np
 import pytest
 
-from groverlab.cli import main
-from groverlab.grover import (
-    SearchProblem,
-    grover_iterate,
-    iterate_operator,
-    iteration_count,
-    make_driver,
-    run_grover,
-    success_trajectory,
-    walsh_hadamard,
-)
-from groverlab.hamiltonians import (
+from dense_oracle import (
     augmented_hamiltonian,
-    augmented_propagator,
+    basis_state,
     commutator_hamiltonian,
     fg_hamiltonian,
-    grover_time,
+    grover_iterate,
+    hermitian_propagator,
+    make_driver,
     naive_generator,
-    naive_search,
     naive_step,
+    operator_norm,
     plane_projector_complement,
+    run_grover,
+    success_trajectory,
+    uniform_state,
+    walsh_hadamard,
 )
-from groverlab.linalg import basis_state, hermitian_propagator, operator_norm, uniform_state
+from groverlab.cli import main
+from groverlab.grover import SearchProblem, iterate_operator, iteration_count
+from groverlab.hamiltonians import augmented_propagator, grover_time, naive_search
 from groverlab.verification import CHECK_NAMES, run_sweep
 
 ROUTE_TOL = 1e-12
