@@ -31,26 +31,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import islice
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
 from .grover import (
     MAX_STEPS,
     SearchProblem,
     check_steps,
-    grover_walk,
+    grover_state,
     iterate_operator,
     iteration_count,
+    success_trajectory,
     uniform_overlap,
 )
 from .hamiltonians import (
     augmented_propagator,
     commutator_propagator,
     fg_evolution_closed_form,
-    h_evolution_closed_form,
     iterate_plus_projector,
     matching_time,
     naive_search,
+    rotation_rate,
     validate_energy,
     validate_stepper,
 )
@@ -140,12 +140,8 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
     x = uniform_overlap(problem.n)
     counts = iteration_count(x)
     k = _checked(parser, "--k", _iterations, args.k, counts)
-    k_max = max(k, counts.optimal, counts.paper)
-    k_trajectory = []
-    for j, coords in enumerate(islice(grover_walk(x), k_max + 1)):
-        k_trajectory.append(abs(coords.target_amplitude(x)) ** 2)
-        if j == k:
-            outcomes = _top_outcomes(coords, x, problem)  # final measurement distribution
+    k_trajectory = success_trajectory(x, max(k, counts.optimal, counts.paper))
+    outcomes = _top_outcomes(grover_state(x, k), x, problem)  # final measurement distribution
     p_final = k_trajectory[k]
     p_optimal = k_trajectory[counts.optimal]
     p_paper = k_trajectory[counts.paper]
@@ -194,15 +190,10 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     t = {"t0": t0, "arrival": arrival}.get(args.t, args.t)
 
     if args.hamiltonian == "fg":
-        # the closed form covers t >= 0; H' is real in the (start, target)
-        # basis, so running time backwards conjugates the coefficients
-        evolved = fg_evolution_closed_form(x, args.energy, abs(t))
-        if t < 0.0:
-            evolved = PlaneCoords(evolved.c_sigma.conjugate(), evolved.c_w.conjugate())
+        evolved = fg_evolution_closed_form(x, args.energy, t)
     else:
-        # e^{-iHt} and e^{-iH~t} act alike on the plane
-        (c_sigma, _), (c_w, _) = h_evolution_closed_form(x, args.energy, t)
-        evolved = PlaneCoords(complex(c_sigma), complex(c_w))
+        # e^{-iHt} and e^{-iH~t} act alike on the plane: they turn it by eta t
+        evolved = PlaneCoords.rotated(x, rotation_rate(x, args.energy) * t)
     c_sigma, c_w = evolved.c_sigma, evolved.c_w
     fidelity = abs(evolved.target_amplitude(x)) ** 2
     # the evolved state is built on the plane, so it has no part off it

@@ -1,12 +1,14 @@
 """Digital Grover search over a single marked element.
 
 The search iterate G = -U I_0 U^{-1} I_w, built from the two reflections
-(about |0> and about the target) and a driver unitary U, acts on the
-(start, target) plane by :func:`grover_on_plane` and as -1 on its orthogonal
-complement, whatever the driver, once the driver's phase makes the overlap
-x = <w|U|0> real positive (a phase that never changes G).  So the walk, the
-iteration counts and :func:`iterate_operator` need only x; for the
-Walsh-Hadamard driver x = 2**(-n/2) (:func:`uniform_overlap`).
+(about |0> and about the target) and a driver unitary U, turns the (start,
+target) plane by 2 asin x and acts as -1 on its orthogonal complement,
+whatever the driver, once the driver's phase makes the overlap
+x = <w|U|0> real positive (a phase that never changes G).  So after j
+iterates the start has turned to the angle (2j + 1) asin x from the target's
+complement, and the iteration counts, the success trajectory and
+:func:`iterate_operator` need only x; for the Walsh-Hadamard driver
+x = 2**(-n/2) (:func:`uniform_overlap`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePlaneError, OrthogonalStartError
-from .linalg import check_qubits, mat_vec
+from .linalg import check_qubits
 from .plane import PlaneCoords, PlaneOperator
 
 #: most iterates or stepper steps a walk takes (grover's k, naive's step
@@ -76,17 +78,6 @@ def uniform_overlap(n: int) -> float:
     return check_overlap(2.0 ** (-n / 2))
 
 
-def grover_on_plane(x: float):
-    """Action of G on coordinates in the non-orthogonal (start, target) basis.
-
-    Columns are the images of the start and target states:
-
-        G|s> = (1 - 4x^2)|s> + 2x|w>,      G|w> = -2x|s> + |w>.
-    """
-    check_overlap(x)
-    return ((1.0 - 4.0 * x * x, -2.0 * x), (2.0 * x, 1.0))
-
-
 @dataclass(frozen=True)
 class IterationCount:
     """The two standard iteration-count prescriptions.
@@ -110,17 +101,19 @@ def iteration_count(x: float) -> IterationCount:
 
 
 def iterate_operator(x: float, dim: int) -> PlaneOperator:
-    """G as a plane operator: :func:`grover_on_plane` on the plane, -1 on the complement."""
-    return PlaneOperator.from_start_target(grover_on_plane(x), x, -1.0, dim)
+    """G as a plane operator: the rotation by 2 asin x, and -1 on the complement."""
+    check_overlap(x)
+    return PlaneOperator.rotation(2.0 * math.asin(x), -1.0, dim)
 
 
-def grover_walk(x: float):
-    """Yield the (start, target) coordinates of U|0>, G U|0>, G^2 U|0>, ... without end.
+def grover_state(x: float, k: int) -> PlaneCoords:
+    """Plane coordinates of G^k U|0>: the start turned by k times 2 asin x."""
+    return PlaneCoords.rotated(x, 2.0 * k * math.asin(x))
 
-    Each step is the 2x2 product with :func:`grover_on_plane`.
-    """
-    step = grover_on_plane(x)
-    coords = (1.0, 0.0)
-    while True:
-        yield PlaneCoords(complex(coords[0]), complex(coords[1]))
-        coords = mat_vec(step, coords)
+
+def success_trajectory(x: float, k: int) -> list[float]:
+    """Probability of measuring the target after 0, 1, ..., k iterates,
+    sin^2((2j + 1) asin x)."""
+    check_overlap(x)
+    a = math.asin(x)
+    return [math.sin((2 * j + 1) * a) ** 2 for j in range(k + 1)]

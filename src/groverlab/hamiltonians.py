@@ -12,18 +12,19 @@ scale E (hbar = 1, so E*t is dimensionless):
   t0 = (pi - 2 arccos x) / (2 x sqrt(1 - x^2)) = arcsin x / (x sqrt(1 - x^2)).
 
 Here x = <w|s> is made real positive by a phase adjustment of the start
-state, theta = arccos x, and eta = E sin 2theta is the plane rotation rate of
-H.  At energy E the iterate is matched at t0/E.  P projects onto the
-orthogonal complement of the plane, where G acts as -1 and e^{-iHt} as +1;
-adding (pi E/t0) P to H yields an augmented generator H~ whose evolution at
-t0/E equals G on the whole space.
+state, theta = arccos x.  In the orthonormal plane basis (|w>, |u>) of
+:mod:`groverlab.plane`, e^{-iHt} is the rotation by eta t, with
+eta = 2Ex sqrt(1 - x^2) = E sin 2theta (:func:`rotation_rate`), and G is the
+rotation by 2 asin x: they agree at t0/E.  P projects onto the orthogonal
+complement of the plane, where G acts as -1 and e^{-iHt} as +1; adding
+(pi E/t0) P to H yields an augmented generator H~ whose evolution at t0/E
+equals G on the whole space.
 
 The closed forms give the dynamics on the plane in O(1):
 :func:`fg_evolution_closed_form` for e^{-iH't}|s>, and
-:func:`commutator_propagator` and :func:`augmented_propagator` (built on
-:func:`h_evolution_closed_form`) for e^{-iHt} and e^{-iH~t}.  The test suite
-builds the generators as dense matrices and holds the closed forms against
-them.
+:func:`commutator_propagator` and :func:`augmented_propagator` for e^{-iHt}
+and e^{-iH~t}.  The test suite builds the generators as dense matrices and
+holds the closed forms against them.
 
 The incremental stepper of the last section applies I + eps*A for the integer
 matrix A = sqrt(N)(|w><u| - |u><w|) built on the uniform state |u>, moving
@@ -43,7 +44,6 @@ from .grover import (
     iterate_operator,
     uniform_overlap,
 )
-from .linalg import mat_vec
 from .plane import PlaneCoords, PlaneOperator
 
 
@@ -58,41 +58,26 @@ def fg_evolution_closed_form(x: float, energy: float, t: float) -> PlaneCoords:
 
         e^{-iEt} [ cos(xEt) |s> - i sin(xEt) |w> ].
 
-    At t = pi/(2Ex) the state is -i e^{-i pi/(2x)} |w>, i.e. the target up to
-    phase.
+    It holds at every real t.  At t = pi/(2Ex) the state is
+    -i e^{-i pi/(2x)} |w>, i.e. the target up to phase.
     """
     check_overlap(x)
-    if t < 0.0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
     phase = cmath.exp(-1j * energy * t)
     angle = x * energy * t
     return PlaneCoords(c_sigma=phase * math.cos(angle), c_w=-1j * phase * math.sin(angle))
 
 
-def h_evolution_closed_form(x: float, energy: float, t: float):
-    """Plane propagator of e^{-iHt} in (start, target) coordinates:
-
-        [ sin(theta - eta t)   -sin(eta t)        ]
-        [ sin(eta t)            sin(theta + eta t)] / sin(theta).
-
-    At t = theta/eta the first column is (0, 1): the start state has rotated
-    exactly onto the target.  At t = t0 the matrix equals the plane action of
-    the digital iterate G.
-    """
+def rotation_rate(x: float, energy: float) -> float:
+    """Angle eta = 2Ex sqrt(1 - x^2) = E sin 2theta by which e^{-iHt} turns
+    the plane per unit time."""
     check_overlap(x)
-    theta = math.acos(x)
-    eta = energy * math.sin(2.0 * theta)
-    s = math.sin(theta)
-    return (
-        (math.sin(theta - eta * t) / s, -math.sin(eta * t) / s),
-        (math.sin(eta * t) / s, math.sin(theta + eta * t) / s),
-    )
+    return 2.0 * energy * x * math.sqrt(1.0 - x * x)
 
 
 def commutator_propagator(x: float, energy: float, t: float, dim: int) -> PlaneOperator:
-    """e^{-iHt} as a plane operator: :func:`h_evolution_closed_form` on the
-    plane, and 1 on the complement, which H annihilates."""
-    return PlaneOperator.from_start_target(h_evolution_closed_form(x, energy, t), x, 1.0, dim)
+    """e^{-iHt} as a plane operator: the rotation by eta t, and 1 on the
+    complement, which H annihilates."""
+    return PlaneOperator.rotation(rotation_rate(x, energy) * t, 1.0, dim)
 
 
 def augmented_propagator(x: float, energy: float, t: float, dim: int) -> PlaneOperator:
@@ -158,8 +143,8 @@ class NaiveSearchResult:
 
 
 def naive_search(problem: SearchProblem, eps: float, max_steps: int) -> NaiveSearchResult:
-    """Repeatedly apply I + eps*A from the uniform state, renormalising after
-    each step, and record |<w|state>| at every step.
+    """|<w|state>| after 0, 1, ..., max_steps applications of I + eps*A to the
+    uniform state, each followed by renormalisation.
 
     I + eps*A is not unitary, so the state is renormalised; this preserves the
     amplitude ratios the scheme relies on.  The reported peak is the first
@@ -168,21 +153,13 @@ def naive_search(problem: SearchProblem, eps: float, max_steps: int) -> NaiveSea
     trajectory climbs strictly up to that first peak and oscillates beyond it.
     """
     validate_stepper(eps, max_steps)
-    x = uniform_overlap(problem.n)
-    # the uniform start never leaves the plane; in its orthonormal basis (see
-    # groverlab.plane) the start is (x, sqrt(1 - x^2)) and A keeps the dyadic
-    # form sqrt(N)(|w><s| - |s><w|) = sqrt(N) sqrt(1 - x^2) [[0, 1], [-1, 0]]
-    r = math.sqrt(1.0 - x * x)
-    rate = math.sqrt(problem.dim) * r
-    generator = ((0.0, rate), (-rate, 0.0))
-    state = (x, r)
-    amplitudes = [abs(state[0])]
-    for _ in range(max_steps):
-        step = mat_vec(generator, state)
-        a, b = state[0] + eps * step[0], state[1] + eps * step[1]
-        norm = math.hypot(a, b)
-        state = (a / norm, b / norm)
-        amplitudes.append(abs(state[0]))
+    # the uniform start never leaves the plane, where A = sqrt(N - 1) J turns
+    # the orthonormal basis (see groverlab.plane) by J = [[0, 1], [-1, 0]]:
+    # I + eps*A is the rotation by atan(eps sqrt(N - 1)) scaled by
+    # sqrt(1 + eps^2 (N - 1)), and renormalising removes the scale
+    start = math.asin(uniform_overlap(problem.n))
+    turn = math.atan(eps * math.sqrt(problem.dim - 1))
+    amplitudes = [abs(math.sin(start + k * turn)) for k in range(max_steps + 1)]
     peak_step = max(range(len(amplitudes)), key=amplitudes.__getitem__)
     return NaiveSearchResult(
         amplitudes=amplitudes,

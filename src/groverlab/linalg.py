@@ -1,10 +1,10 @@
 """The register cap, and complex 2x2 algebra in plain Python.
 
-Every operator of the search is a scalar plus a rank-2 part on the (start,
-target) plane (see :mod:`groverlab.plane`), so the package computes with 2x2
-matrices and 2-vectors only.  A *matrix* is a tuple of two rows
-``((a, b), (c, d))`` and a *vector* a pair ``(p, q)``; entries are floats or
-complex numbers.  The functions are pure.
+Every operator of the search is a rotation of the (start, target) plane plus
+a scalar on its complement (see :mod:`groverlab.plane`), so the package
+forms operator differences and powers on 2x2 matrices only.  A *matrix* is a
+tuple of two rows ``((a, b), (c, d))``; entries are floats or complex
+numbers.  The functions are pure.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ def check_qubits(n: int) -> int:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     return n
-
-
-def mat_vec(a, v):
-    """Product of a 2x2 matrix and a 2-vector."""
-    (a00, a01), (a10, a11) = a
-    p, q = v
-    return (a00 * p + a01 * q, a10 * p + a11 * q)
 
 
 def mat_mul(a, b):

@@ -1,13 +1,14 @@
 """The (start, target) plane: coordinates of states in it, and operators that
-act on it by a 2x2 block and on its orthogonal complement by one scalar.
+turn it by a rotation and act on its orthogonal complement by one scalar.
 
 For a start state |s> whose overlap x = <w|s> with the target is real
-positive, the plane has the orthonormal basis V = [|w>, |u>], where |u> is the
-normalised residual of |s> off |w>, so |s> = x|w> + sqrt(1 - x^2)|u>.  Every
-operator of the search (the iterate G, the propagators e^{-iHt}, e^{-iH't}
-and e^{-iH~t}, G + 2P) has the form c I + V M V^dagger with M 2x2, so its
-products, powers, differences and spectral norm cost the same at every N.
-Matrices and vectors are the tuples of :mod:`groverlab.linalg`.
+positive, the plane has the orthonormal basis (|w>, |u>), where |u> is the
+normalised residual of |s> off |w>, so |s> = sin(a)|w> + cos(a)|u> with
+a = asin x.  Every operator of the search (the iterate G, the propagators
+e^{-iHt} and e^{-iH~t}, G + 2P) turns that basis by an angle and applies one
+scalar off the plane, so its products, powers, differences and spectral norm
+cost the same at every N.  States are reported by their coefficients on |s>
+and |w>.  Matrices are the tuples of :mod:`groverlab.linalg`.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import mat_mul, mat_power, mat_sub, spectral_norm
-
-
-def plane_basis(x: float):
-    """Columns |s> and |w> written in the orthonormal basis (|w>, |u>):
-
-        [[x,              1],
-         [sqrt(1 - x^2),  0]].
-    """
-    return ((x, 1.0), (math.sqrt(1.0 - x * x), 0.0))
+from .linalg import mat_power, mat_sub, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -34,6 +26,16 @@ class PlaneCoords:
 
     c_sigma: complex
     c_w: complex
+
+    @classmethod
+    def rotated(cls, x: float, angle: float) -> "PlaneCoords":
+        """The start state turned by ``angle`` towards the target,
+        sin(a + angle)|w> + cos(a + angle)|u> with a = asin x:
+
+            c_sigma = cos(a + angle) / sqrt(1 - x^2),   c_w = sin(angle) / sqrt(1 - x^2).
+        """
+        r = math.sqrt(1.0 - x * x)
+        return cls(complex(math.cos(math.asin(x) + angle) / r), complex(math.sin(angle) / r))
 
     def target_amplitude(self, x: float) -> complex:
         """Amplitude <w|state> = c_sigma x + c_w."""
@@ -55,7 +57,7 @@ class PlaneCoords:
 
 @dataclass(frozen=True)
 class PlaneOperator:
-    """Operator c I + V M V^dagger on an N-dimensional space.
+    """Operator c I + V M V^dagger on an N-dimensional space, V = [|w>, |u>].
 
     ``block`` is its action c I_2 + M on the plane in the orthonormal basis
     (|w>, |u>); ``complement`` is the scalar c it applies on the orthogonal
@@ -67,14 +69,14 @@ class PlaneOperator:
     dim: int
 
     @classmethod
-    def from_start_target(cls, matrix, x: float, complement: complex, dim: int) -> "PlaneOperator":
-        """The operator whose plane action has ``matrix`` in the (start, target)
-        basis, the basis of the closed forms, and which applies ``complement``
-        off the plane."""
-        r = math.sqrt(1.0 - x * x)
-        inverse_basis = ((0.0, 1.0 / r), (1.0, -x / r))
-        block = mat_mul(mat_mul(plane_basis(x), matrix), inverse_basis)
-        return cls(block, complex(complement), dim)
+    def rotation(cls, angle: float, complement: complex, dim: int) -> "PlaneOperator":
+        """The operator that turns the plane by ``angle`` from |u> towards |w>,
+
+            block = ((cos angle, sin angle), (-sin angle, cos angle)),
+
+        and applies ``complement`` off the plane."""
+        c, s = math.cos(angle), math.sin(angle)
+        return cls(((c, s), (-s, c)), complex(complement), dim)
 
     def __sub__(self, other: "PlaneOperator") -> "PlaneOperator":
         return PlaneOperator(mat_sub(self.block, other.block), self.complement - other.complement, self.dim)

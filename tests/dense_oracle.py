@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from groverlab.errors import DegeneratePlaneError
-from groverlab.grover import _OVERLAP_EPS, SearchProblem, check_overlap, check_steps, grover_walk
+from groverlab.grover import _OVERLAP_EPS, SearchProblem, check_overlap, check_steps, grover_state
 from groverlab.hamiltonians import matching_time, validate_energy
 from groverlab.linalg import check_qubits
 from groverlab.plane import PlaneCoords
@@ -272,21 +271,32 @@ def grover_iterate(matrix, problem: SearchProblem) -> np.ndarray:
     return -(((matrix * d0) @ matrix.conj().T) * dw)
 
 
+def grover_on_plane(x: float):
+    """Action of G on coordinates in the non-orthogonal (start, target) basis,
+    the paper's form.
+
+    Columns are the images of the start and target states:
+
+        G|s> = (1 - 4x^2)|s> + 2x|w>,      G|w> = -2x|s> + |w>.
+    """
+    check_overlap(x)
+    return ((1.0 - 4.0 * x * x, -2.0 * x), (2.0 * x, 1.0))
+
+
 def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[np.ndarray, float]:
-    """Walk G k times from U|0> on the plane of an arbitrary driver, and lift
-    the final state; report it with the probability of measuring the target."""
+    """Lift G^k U|0> from the plane of an arbitrary driver to a full state;
+    report it with the probability of measuring the target."""
     check_steps(k)
-    coords = next(islice(grover_walk(driver.x), k, None))
+    coords = grover_state(driver.x, k)
     state = lift(coords, driver.matrix[:, 0], problem.w)
     return state, float(abs(coords.target_amplitude(driver.x)) ** 2)
 
 
 def success_trajectory(problem: SearchProblem, driver: DriverUnitary, k_max: int) -> np.ndarray:
-    """Success probability after 0, 1, ..., k_max applications of G, walked
-    on the plane of an arbitrary driver."""
+    """Success probability after 0, 1, ..., k_max applications of G, read off
+    the plane of an arbitrary driver."""
     check_steps(k_max)
-    walk = islice(grover_walk(driver.x), k_max + 1)
-    return np.array([abs(coords.target_amplitude(driver.x)) ** 2 for coords in walk])
+    return np.array([abs(grover_state(driver.x, k).target_amplitude(driver.x)) ** 2 for k in range(k_max + 1)])
 
 
 # --- the generators -----------------------------------------------------------
@@ -331,6 +341,29 @@ def commutator_hamiltonian(sigma, w: int, energy: float = 1.0) -> np.ndarray:
     """
     sigma, wv, x = _plane(sigma, w, energy)
     return 2j * energy * x * (np.outer(wv, sigma.conj()) - np.outer(sigma, wv.conj()))
+
+
+def h_evolution_closed_form(x: float, energy: float, t: float):
+    """Plane propagator of e^{-iHt} in (start, target) coordinates, the
+    paper's form:
+
+        [ sin(theta - eta t)   -sin(eta t)        ]
+        [ sin(eta t)            sin(theta + eta t)] / sin(theta).
+
+    At t = theta/eta the first column is (0, 1): the start state has rotated
+    exactly onto the target.  At t = t0 the matrix equals the plane action of
+    the digital iterate G.  eta = E sin(2 theta) is evaluated as
+    2Ex sqrt(1 - x^2): sin(2 arccos x) would lose digits to the rounding of
+    2 theta near pi, 1e-13 relative at x = 2**-10.
+    """
+    check_overlap(x)
+    theta = math.acos(x)
+    s = math.sqrt(1.0 - x * x)
+    eta = 2.0 * energy * x * s
+    return (
+        (math.sin(theta - eta * t) / s, -math.sin(eta * t) / s),
+        (math.sin(eta * t) / s, math.sin(theta + eta * t) / s),
+    )
 
 
 def h_eigensystem(x: float, energy: float = 1.0) -> tuple[tuple[float, PlaneCoords], tuple[float, PlaneCoords]]:

@@ -21,6 +21,7 @@ from dense_oracle import (
     commutator_hamiltonian,
     fg_hamiltonian,
     grover_iterate,
+    h_evolution_closed_form,
     is_unitary,
     lift,
     make_driver,
@@ -35,7 +36,6 @@ from groverlab.grover import SearchProblem, iteration_count
 from groverlab.hamiltonians import (
     fg_evolution_closed_form,
     grover_time,
-    h_evolution_closed_form,
     naive_search,
     t0_series,
 )

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import groverlab
@@ -70,6 +71,20 @@ class TestGroverCommand:
             others = [i for i in range(2**n) if i != w][:4]
             assert indices == (others + [w])[:4]
             assert [p for _, p in outcomes][: len(others)] == [x * x] * len(others)
+
+    def test_long_trajectory_against_mpmath(self, capsys):
+        # every 997th point and the last, k = 1e5, against sin^2((2j+1) asin x)
+        # at 40 digits for the overlap the command reports
+        code, out, _ = run_cli(capsys, "grover", "--n", "3", "--k", "100000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        trajectory = payload["trajectory"]
+        assert len(trajectory) == 100001
+        with mpmath.workdps(40):
+            a = mpmath.asin(mpmath.mpf(payload["x"]))
+            for j in [*range(0, 100001, 997), 100000]:
+                exact = mpmath.sin((2 * j + 1) * a) ** 2
+                assert abs(trajectory[j] - exact) <= 1e-11, j
 
     def test_usage_error_on_bad_n(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

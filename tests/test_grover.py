@@ -6,6 +6,7 @@ import pytest
 from dense_oracle import (
     DriverUnitary,
     grover_iterate,
+    grover_on_plane,
     is_unitary,
     make_driver,
     operator_norm,
@@ -18,7 +19,7 @@ from dense_oracle import (
     zero_inverter,
 )
 from groverlab.errors import OrthogonalStartError
-from groverlab.grover import SearchProblem, grover_on_plane, iteration_count
+from groverlab.grover import SearchProblem, iteration_count
 
 
 def uniform_driver(n: int, w: int) -> tuple[SearchProblem, DriverUnitary]:

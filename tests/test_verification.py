@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import groverlab.verification as verification
 from groverlab.verification import (
     CHECK_NAMES,
     CheckReport,
@@ -164,6 +165,28 @@ class TestRunSweep:
             ("theorem_main_square", 11),
             ("theorem_main_square", 12),
         ]
+
+    @pytest.mark.parametrize(
+        "check,function",
+        [
+            ("theorem_main", "verify_theorem_main"),
+            ("norm_gap", "norm_gap_vs_prediction"),
+            ("corollary", "verify_corollary"),
+            ("fg_arrival", "verify_fg_arrival"),
+        ],
+    )
+    def test_calls_the_check_bound_at_call_time(self, monkeypatch, check, function):
+        # a wrapper installed on the module, as a tracer installs one, runs
+        calls = []
+        original = getattr(verification, function)
+
+        def wrapper(n, *args, **kwargs):
+            calls.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(verification, function, wrapper)
+        run_sweep([check], (2, 3))
+        assert calls == [2, 3]
 
     def test_empty_check_list(self):
         result = run_sweep([], (2, 4))
