@@ -18,7 +18,7 @@ qubits), ``--k`` and the ``naive`` step count by
 ``--eps`` and ``--max-steps`` by the rules in :mod:`groverlab.hamiltonians`,
 and ``verify``'s check names and n-range by
 :func:`groverlab.verification.validate_sweep`.  A rule's ``ValueError`` is the
-exit-2 usage error.
+exit-2 usage error, and so is an ``--out`` file that cannot be written.
 
 Exit status is 0 exactly when all requested computations succeed and, for
 ``verify``, every check passed.  Outputs carry no timestamps, so identical
@@ -40,6 +40,7 @@ from .grover import (
     grover_state,
     iterate_operator,
     iteration_count,
+    success_probabilities,
     success_trajectory,
     uniform_overlap,
 )
@@ -62,12 +63,15 @@ from .verification import CHECK_NAMES, run_sweep, to_csv, to_json, validate_swee
 _POWER_TOL = 1e-9
 
 
-def _write(text: str, out: str) -> None:
+def _write(text: str, out: str, parser: argparse.ArgumentParser) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as error:
+        parser.error(f"--out: cannot write {out!r}: {error.strerror}")
 
 
 def _json_dumps(payload) -> str:
@@ -124,14 +128,13 @@ def _top_outcomes(coords: PlaneCoords, x: float, problem: SearchProblem) -> list
     plane coordinates ``coords`` from the uniform start, as (index,
     probability), likeliest first and ties by index.
 
-    Every amplitude of the start is x, so every index but w has probability
-    |c_sigma x|^2 and w has |c_sigma x + c_w|^2: only w and the lowest other
-    indices can be listed.
+    |u> has the amplitude x / sqrt(1 - x^2) at every index but w, so those
+    share one probability: only w and the lowest other indices can be listed.
     """
     count = min(4, problem.dim)
     others = [i for i in range(min(count + 1, problem.dim)) if i != problem.w][:count]
-    other = abs(coords.c_sigma * x) ** 2
-    outcomes = [(problem.w, abs(coords.target_amplitude(x)) ** 2), *((i, other) for i in others)]
+    other = abs(coords.along_u / math.sqrt(1.0 - x * x) * x) ** 2
+    outcomes = [(problem.w, abs(coords.along_w) ** 2), *((i, other) for i in others)]
     return sorted(outcomes, key=lambda outcome: (-outcome[1], outcome[0]))[:count]
 
 
@@ -140,11 +143,10 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
     x = uniform_overlap(problem.n)
     counts = iteration_count(x)
     k = _checked(parser, "--k", _iterations, args.k, counts)
-    k_trajectory = success_trajectory(x, max(k, counts.optimal, counts.paper))
+    k_trajectory = success_trajectory(x, k)
     outcomes = _top_outcomes(grover_state(x, k), x, problem)  # final measurement distribution
     p_final = k_trajectory[k]
-    p_optimal = k_trajectory[counts.optimal]
-    p_paper = k_trajectory[counts.paper]
+    p_optimal, p_paper = success_probabilities(x, (counts.optimal, counts.paper))
     top = ";".join(f"{i}:{p!r}" for i, p in outcomes)
 
     if args.format == "json":
@@ -159,10 +161,10 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
             "p_final": p_final,
             "p_optimal": p_optimal,
             "p_paper": p_paper,
-            "trajectory": k_trajectory[: k + 1],
+            "trajectory": k_trajectory,
             "top_outcomes": [{"index": i, "probability": p} for i, p in outcomes],
         }
-        _write(_json_dumps(payload), args.out)
+        _write(_json_dumps(payload), args.out, parser)
     else:
         lines = [
             f"# n={args.n} w={args.w} x={x!r}",
@@ -173,8 +175,8 @@ def cmd_grover(args, parser: argparse.ArgumentParser) -> int:
             f"# top_outcomes={top}",
             "iteration,success_probability",
         ]
-        lines += [f"{j},{p!r}" for j, p in enumerate(k_trajectory[: k + 1])]
-        _write("\n".join(lines) + "\n", args.out)
+        lines += [f"{j},{p!r}" for j, p in enumerate(k_trajectory)]
+        _write("\n".join(lines) + "\n", args.out, parser)
     return 0
 
 
@@ -194,8 +196,8 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
     else:
         # e^{-iHt} and e^{-iH~t} act alike on the plane: they turn it by eta t
         evolved = PlaneCoords.rotated(x, rotation_rate(x, args.energy) * t)
-    c_sigma, c_w = evolved.c_sigma, evolved.c_w
-    fidelity = abs(evolved.target_amplitude(x)) ** 2
+    c_sigma, c_w = evolved.start_target(x)
+    fidelity = abs(evolved.along_w) ** 2
     # the evolved state is built on the plane, so it has no part off it
     out_of_plane = 0.0
 
@@ -234,7 +236,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
             "grover_power": power,
             "grover_power_distance": power_distance,
         }
-        _write(_json_dumps(payload), args.out)
+        _write(_json_dumps(payload), args.out, parser)
     else:
         lines = [
             f"# n={args.n} w={args.w} hamiltonian={args.hamiltonian} energy={args.energy!r}",
@@ -257,7 +259,7 @@ def cmd_evolve(args, parser: argparse.ArgumentParser) -> int:
                 )
             )
         )
-        _write("\n".join(lines) + "\n", args.out)
+        _write("\n".join(lines) + "\n", args.out, parser)
     return 0
 
 
@@ -287,7 +289,7 @@ def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
             "predicted_peak_step": predicted_peak,
             "trajectory": result.amplitudes,
         }
-        _write(_json_dumps(payload), args.out)
+        _write(_json_dumps(payload), args.out, parser)
     else:
         lines = [
             f"# n={args.n} w={args.w} eps={args.eps!r} max_steps={max_steps}",
@@ -296,7 +298,7 @@ def cmd_naive(args, parser: argparse.ArgumentParser) -> int:
             "step,w_amplitude",
         ]
         lines += [f"{j},{a!r}" for j, a in enumerate(result.amplitudes)]
-        _write("\n".join(lines) + "\n", args.out)
+        _write("\n".join(lines) + "\n", args.out, parser)
     return 0
 
 
@@ -313,7 +315,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
     result = run_sweep(checks, n_range)
     text = to_json(result) if args.format == "json" else to_csv(result)
-    _write(text, args.out)
+    _write(text, args.out, parser)
     failing = [row for row in result.rows if not row.passed]
     if failing:
         print(f"{len(failing)} failing check row(s):", file=sys.stderr)

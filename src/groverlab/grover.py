@@ -111,9 +111,13 @@ def grover_state(x: float, k: int) -> PlaneCoords:
     return PlaneCoords.rotated(x, 2.0 * k * math.asin(x))
 
 
+def success_probabilities(x: float, counts) -> list[float]:
+    """Probability sin^2((2j + 1) asin x) of measuring the target after j
+    iterates, for each j in ``counts``."""
+    a = math.asin(check_overlap(x))
+    return [math.sin((2 * j + 1) * a) ** 2 for j in counts]
+
+
 def success_trajectory(x: float, k: int) -> list[float]:
-    """Probability of measuring the target after 0, 1, ..., k iterates,
-    sin^2((2j + 1) asin x)."""
-    check_overlap(x)
-    a = math.asin(x)
-    return [math.sin((2 * j + 1) * a) ** 2 for j in range(k + 1)]
+    """Probability of measuring the target after 0, 1, ..., k iterates."""
+    return success_probabilities(x, range(k + 1))

@@ -56,7 +56,8 @@ def validate_energy(energy: float) -> None:
 def fg_evolution_closed_form(x: float, energy: float, t: float) -> PlaneCoords:
     """Closed form of e^{-iH't} applied to the start state:
 
-        e^{-iEt} [ cos(xEt) |s> - i sin(xEt) |w> ].
+        e^{-iEt} [ cos(xEt) |s> - i sin(xEt) |w> ]
+          = e^{-iEt} [ (x cos(xEt) - i sin(xEt)) |w> + sqrt(1 - x^2) cos(xEt) |u> ].
 
     It holds at every real t.  At t = pi/(2Ex) the state is
     -i e^{-i pi/(2x)} |w>, i.e. the target up to phase.
@@ -64,7 +65,8 @@ def fg_evolution_closed_form(x: float, energy: float, t: float) -> PlaneCoords:
     check_overlap(x)
     phase = cmath.exp(-1j * energy * t)
     angle = x * energy * t
-    return PlaneCoords(c_sigma=phase * math.cos(angle), c_w=-1j * phase * math.sin(angle))
+    along_u = math.sqrt(1.0 - x * x) * math.cos(angle)
+    return PlaneCoords(phase * complex(x * math.cos(angle), -math.sin(angle)), phase * along_u)
 
 
 def rotation_rate(x: float, energy: float) -> float:

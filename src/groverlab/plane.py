@@ -7,8 +7,8 @@ normalised residual of |s> off |w>, so |s> = sin(a)|w> + cos(a)|u> with
 a = asin x.  Every operator of the search (the iterate G, the propagators
 e^{-iHt} and e^{-iH~t}, G + 2P) turns that basis by an angle and applies one
 scalar off the plane, so its products, powers, differences and spectral norm
-cost the same at every N.  States are reported by their coefficients on |s>
-and |w>.  Matrices are the tuples of :mod:`groverlab.linalg`.
+cost the same at every N.  States are stored by their components on |w> and
+|u>.  Matrices are the tuples of :mod:`groverlab.linalg`.
 """
 
 from __future__ import annotations
@@ -21,38 +21,31 @@ from .linalg import mat_power, mat_sub, spectral_norm
 
 @dataclass(frozen=True)
 class PlaneCoords:
-    """Coefficients (c_sigma, c_w) of a state c_sigma|s> + c_w|w> in the
-    non-orthogonal (start, target) basis with overlap x = <w|s>."""
+    """Components of the state along_w |w> + along_u |u> on the orthonormal
+    basis (|w>, |u>); ``along_w`` is the target amplitude <w|state>."""
 
-    c_sigma: complex
-    c_w: complex
+    along_w: complex
+    along_u: complex
 
     @classmethod
     def rotated(cls, x: float, angle: float) -> "PlaneCoords":
         """The start state turned by ``angle`` towards the target,
-        sin(a + angle)|w> + cos(a + angle)|u> with a = asin x:
+        sin(a + angle)|w> + cos(a + angle)|u> with a = asin x, by the angle-sum
+        formulas: the rounding of a + angle, which grows with it, never enters."""
+        r, c, s = math.sqrt(1.0 - x * x), math.cos(angle), math.sin(angle)
+        return cls(complex(x * c + r * s), complex(r * c - x * s))
 
-            c_sigma = cos(a + angle) / sqrt(1 - x^2),   c_w = sin(angle) / sqrt(1 - x^2).
-        """
-        r = math.sqrt(1.0 - x * x)
-        return cls(complex(math.cos(math.asin(x) + angle) / r), complex(math.sin(angle) / r))
+    def distance(self, target: complex = 0.0) -> float:
+        """Distance |state - target |w>| of the state from a multiple of the
+        target; the default 0 gives the norm of the state."""
+        along_w = self.along_w - target
+        return math.hypot(along_w.real, along_w.imag, self.along_u.real, self.along_u.imag)
 
-    def target_amplitude(self, x: float) -> complex:
-        """Amplitude <w|state> = c_sigma x + c_w."""
-        return self.c_sigma * x + self.c_w
-
-    def plane_norm(self, x: float) -> float:
-        """Norm of the represented state.
-
-        Taken from its components c_sigma x + c_w and c_sigma sqrt(1 - x^2)
-        in the orthonormal basis (|w>, |u>) rather than from the quadratic
-        form with the cross term 2 Re(conj(c_sigma) c_w x), which cancels to
-        rounding noise of order 1e-16 for a state near zero and would then
-        leave a square root of order 1e-8.
-        """
-        along_w = self.target_amplitude(x)
-        along_u = self.c_sigma * math.sqrt(1.0 - x * x)
-        return math.hypot(along_w.real, along_w.imag, along_u.real, along_u.imag)
+    def start_target(self, x: float) -> tuple[complex, complex]:
+        """Coefficients (c_sigma, c_w) of the state as c_sigma|s> + c_w|w>,
+        where |s> = x|w> + sqrt(1 - x^2)|u> has the overlap x = <w|s>."""
+        c_sigma = self.along_u / math.sqrt(1.0 - x * x)
+        return c_sigma, self.along_w - x * c_sigma
 
 
 @dataclass(frozen=True)

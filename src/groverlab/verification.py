@@ -169,8 +169,7 @@ def verify_corollary(n: int, t: float | None = None) -> CheckReport:
     x = _uniform_overlap(n)
     if t is None:
         t = math.pi / 4.0 * math.sqrt(2**n)
-    state = PlaneCoords.rotated(x, rotation_rate(x, 1.0) * t)
-    measured = PlaneCoords(state.c_sigma, state.c_w - 1.0).plane_norm(x)
+    measured = PlaneCoords.rotated(x, rotation_rate(x, 1.0) * t).distance(1.0)
     return CheckReport.from_measurement("corollary", n, x, t, measured, 0.0, x)
 
 
@@ -185,16 +184,11 @@ def verify_fg_arrival(n: int, energy: float = 1.0, time_scale: float = 1.0) -> t
     x = _uniform_overlap(n)
     t = time_scale * math.pi / (2.0 * energy * x)
     state = fg_evolution_closed_form(x, energy, t)
-    fidelity = float(abs(state.target_amplitude(x)))
     arrival = -1j * cmath.exp(-1j * math.pi / (2.0 * x))
-    state_gap = PlaneCoords(state.c_sigma, state.c_w - arrival).plane_norm(x)
-    fid_row = CheckReport.from_measurement(
-        "fg_arrival_fidelity", n, x, t, fidelity, 1.0, _EXACT_TOL
+    return (
+        CheckReport.from_measurement("fg_arrival_fidelity", n, x, t, abs(state.along_w), 1.0, _EXACT_TOL),
+        CheckReport.from_measurement("fg_arrival_state", n, x, t, state.distance(arrival), 0.0, _EXACT_TOL),
     )
-    state_row = CheckReport.from_measurement(
-        "fg_arrival_state", n, x, t, state_gap, 0.0, _EXACT_TOL
-    )
-    return fid_row, state_row
 
 
 # each runner looks its check up at call time, so a wrapper installed on the
@@ -207,14 +201,18 @@ _CHECK_RUNNERS = {
 }
 
 
-def validate_sweep(checks, n_range: tuple[int, int]) -> None:
-    """Reject unknown check names (listing the valid ones) and an n-range that
-    is reversed or leaves [2, MAX_QUBITS]; every check runs at every n in it."""
+def validate_sweep(checks: list[str], n_range: tuple[int, int]) -> None:
+    """Reject unknown check names (listing the valid ones), repeated names and
+    an n-range that is reversed or leaves [2, MAX_QUBITS]; every check runs at
+    every n in it."""
     unknown = [name for name in checks if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(
             f"unknown check name(s) {unknown}; valid names: {', '.join(CHECK_NAMES)}"
         )
+    duplicates = sorted({name for name in checks if checks.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"check name(s) {duplicates} given more than once")
     _check_n_range(*n_range)
 
 

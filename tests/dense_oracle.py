@@ -81,8 +81,12 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def lift(coords: PlaneCoords, sigma: np.ndarray, w: int) -> np.ndarray:
-    """Expand plane coordinates back into a full state vector."""
-    return coords.c_sigma * sigma + coords.c_w * basis_state(sigma.size, w)
+    """Expand plane coordinates back into a full state vector
+    along_w|w> + along_u|u>, where |u> is the normalised residual of the
+    start ``sigma`` (with <w|sigma> real positive) off |w>."""
+    wv = basis_state(sigma.size, w)
+    residual = sigma - sigma[w] * wv
+    return coords.along_w * wv + coords.along_u * residual / np.linalg.norm(residual)
 
 
 def is_hermitian(a, atol: float = PREDICATE_ATOL) -> bool:
@@ -289,14 +293,14 @@ def run_grover(problem: SearchProblem, driver: DriverUnitary, k: int) -> tuple[n
     check_steps(k)
     coords = grover_state(driver.x, k)
     state = lift(coords, driver.matrix[:, 0], problem.w)
-    return state, float(abs(coords.target_amplitude(driver.x)) ** 2)
+    return state, float(abs(coords.along_w) ** 2)
 
 
 def success_trajectory(problem: SearchProblem, driver: DriverUnitary, k_max: int) -> np.ndarray:
     """Success probability after 0, 1, ..., k_max applications of G, read off
     the plane of an arbitrary driver."""
     check_steps(k_max)
-    return np.array([abs(grover_state(driver.x, k).target_amplitude(driver.x)) ** 2 for k in range(k_max + 1)])
+    return np.array([abs(grover_state(driver.x, k).along_w) ** 2 for k in range(k_max + 1)])
 
 
 # --- the generators -----------------------------------------------------------
@@ -373,15 +377,18 @@ def h_eigensystem(x: float, energy: float = 1.0) -> tuple[tuple[float, PlaneCoor
 
         v(+/-) = (e^{+/- i theta} |s> - |w>) / (sqrt(2) sin theta),
 
-    each of unit norm under the non-orthogonal plane metric.
+    each of unit norm, given by its components on (|w>, |u>) through
+    |s> = x|w> + sin(theta)|u>.
     """
     check_overlap(x)
     theta = math.acos(x)
     eta = energy * math.sin(2.0 * theta)
     scale = 1.0 / (math.sqrt(2.0) * math.sin(theta))
-    plus = PlaneCoords(c_sigma=scale * np.exp(1j * theta), c_w=-scale)
-    minus = PlaneCoords(c_sigma=scale * np.exp(-1j * theta), c_w=-scale)
-    return (eta, plus), (-eta, minus)
+
+    def eigenvector(phase: complex) -> PlaneCoords:
+        return PlaneCoords(along_w=scale * (phase * x - 1.0), along_u=scale * phase * math.sin(theta))
+
+    return (eta, eigenvector(np.exp(1j * theta))), (-eta, eigenvector(np.exp(-1j * theta)))
 
 
 def plane_projector_complement(sigma, w: int) -> np.ndarray:

@@ -277,7 +277,7 @@ def test_criterion_10_property_battery():
         theta = math.acos(x)
         eta = math.sin(2.0 * theta)
         for t in np.linspace(0.0, 12.0, 25):
-            if abs(fg_evolution_closed_form(x, 1.0, float(t)).plane_norm(x) - 1.0) > 1e-12:
+            if abs(fg_evolution_closed_form(x, 1.0, float(t)).distance() - 1.0) > 1e-12:
                 failures.append(f"driver-sum normalisation identity broken at x={x}")
                 break
             a_angle = theta - eta * t

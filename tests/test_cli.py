@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import mpmath
 import pytest
 
 import groverlab
+import groverlab.cli as cli
 from groverlab.cli import _top_outcomes, main
 from groverlab.grover import MAX_STEPS, SearchProblem, check_steps
 from groverlab.hamiltonians import validate_stepper
@@ -53,6 +55,24 @@ class TestGroverCommand:
         assert float(comment_value(out, "p_optimal")) == pytest.approx(0.9613, abs=5e-4)
         assert float(comment_value(out, "p_paper")) == pytest.approx(0.5817, abs=5e-4)
 
+    def test_builds_only_the_requested_k(self, capsys, monkeypatch):
+        # p_optimal = sin^2(7 asin 1/4) and p_paper = sin^2(9 asin 1/4) come
+        # from the closed form, not from a trajectory out to k_paper = 4
+        calls = []
+        original = cli.success_trajectory
+
+        def spy(x, k):
+            calls.append(k)
+            return original(x, k)
+
+        monkeypatch.setattr(cli, "success_trajectory", spy)
+        code, out, _ = run_cli(capsys, "grover", "--n", "4", "--k", "1")
+        assert code == 0
+        assert calls == [1]
+        a = math.asin(0.25)
+        assert float(comment_value(out, "p_optimal")) == math.sin(7 * a) ** 2
+        assert float(comment_value(out, "p_paper")) == math.sin(9 * a) ** 2
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "grover", "--n", "3", "--k", "2", "--format", "json")
         assert code == 0
@@ -62,11 +82,11 @@ class TestGroverCommand:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_top_outcomes_are_register_indices(self, n):
-        # a state with no target amplitude (c_w = -x c_sigma): every other
-        # index is likelier than w, and only the N indices may be listed
+        # a state with no target amplitude (|s> - x|w>): every other index is
+        # likelier than w, and only the N indices may be listed
         x = 2.0 ** (-n / 2)
         for w in range(2**n):
-            outcomes = _top_outcomes(PlaneCoords(1.0, -x), x, SearchProblem(n, w))
+            outcomes = _top_outcomes(PlaneCoords(0.0, math.sqrt(1.0 - x * x)), x, SearchProblem(n, w))
             indices = [index for index, _ in outcomes]
             others = [i for i in range(2**n) if i != w][:4]
             assert indices == (others + [w])[:4]
@@ -291,6 +311,12 @@ class TestVerifyCommand:
             main(["verify", "--n", "8..2"])
         assert excinfo.value.code == 2
 
+    def test_duplicate_check_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--checks", "corollary,norm_gap,corollary", "--n", "2..3"])
+        assert excinfo.value.code == 2
+        assert "['corollary'] given more than once" in capsys.readouterr().err
+
     def test_output_file_and_determinism(self, capsys, tmp_path):
         target_a = tmp_path / "a.csv"
         target_b = tmp_path / "b.csv"
@@ -324,6 +350,18 @@ class TestUsageErrors:
         assert err.startswith(f"usage: groverlab {command} [-h]")
         assert f"groverlab {command}: error:" in err
         assert message in err
+
+    @pytest.mark.parametrize("command", [("grover", "--n", "3"), ("verify", "--n", "2")], ids=("grover", "verify"))
+    def test_unwritable_out_is_usage_error(self, tmp_path, command):
+        # a directory, and a file in a directory that does not exist
+        for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+            done = subprocess.run(
+                [sys.executable, "-m", "groverlab", *command, "--out", str(out)], capture_output=True, text=True,
+                timeout=60, env={**os.environ, "PYTHONPATH": str(Path(groverlab.__file__).resolve().parents[1])},
+            )  # fmt: skip
+            assert done.returncode == 2, done.stderr
+            assert f"groverlab {command[0]}: error: --out: cannot write" in done.stderr
+            assert "Traceback" not in done.stderr
 
 
 class TestWithoutNumpy:

@@ -82,17 +82,21 @@ class TestFgHamiltonian:
 
 class TestFgEvolution:
     def test_no_evolution_at_zero_time(self):
-        coords = fg_evolution_closed_form(0.3, 1.0, 0.0)
-        assert coords.c_sigma == pytest.approx(1.0, abs=1e-15)
-        assert coords.c_w == pytest.approx(0.0, abs=1e-15)
+        # the start x|w> + sqrt(1 - x^2)|u>, i.e. 1|s> + 0|w>
+        x = 0.3
+        coords = fg_evolution_closed_form(x, 1.0, 0.0)
+        assert coords.along_w == pytest.approx(x, abs=1e-15)
+        assert coords.along_u == pytest.approx(math.sqrt(1 - x * x), abs=1e-15)
+        assert coords.start_target(x) == pytest.approx((1.0, 0.0), abs=1e-15)
 
     def test_arrival(self):
         x, energy = 0.25, 1.0
         t = math.pi / (2 * energy * x)
         coords = fg_evolution_closed_form(x, energy, t)
-        assert coords.c_sigma == pytest.approx(0.0, abs=1e-12)
         expected = -1j * np.exp(-1j * math.pi / (2 * x))
-        assert coords.c_w == pytest.approx(expected, abs=1e-12)
+        assert coords.along_u == pytest.approx(0.0, abs=1e-12)
+        assert coords.along_w == pytest.approx(expected, abs=1e-12)
+        assert coords.start_target(x) == pytest.approx((0.0, expected), abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.37, 1.9, 7.3, -1.9, -7.3])
     def test_matches_dense_evolution(self, t):
@@ -107,9 +111,9 @@ class TestFgEvolution:
     @settings(max_examples=50, deadline=None)
     @given(x=overlaps, t=times)
     def test_normalization_identity(self, x, t):
-        # cross term vanishes: |cos|^2 + |sin|^2 + 2 Re(...) x = 1
+        # |x cos - i sin|^2 + (1 - x^2) cos^2 = 1
         coords = fg_evolution_closed_form(x, 1.0, t)
-        assert coords.plane_norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert coords.distance() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCommutatorHamiltonian:
@@ -169,7 +173,7 @@ class TestEigensystem:
     @given(x=overlaps)
     def test_eigenvectors_are_unit_norm(self, x):
         for _, coords in h_eigensystem(x):
-            assert coords.plane_norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert coords.distance() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCommutatorEvolution:

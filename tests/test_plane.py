@@ -73,15 +73,17 @@ def test_propagator_blocks(x, energy):
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 @pytest.mark.parametrize("x", OVERLAPS)
 def test_rotated_start_is_the_first_column(x, energy):
-    # the start turned by eta t has the coordinates e^{-iHt}|s>, and turned by
-    # k times 2 asin x those of G^k|s>
+    # the start turned by eta t is e^{-iHt}|s>, and turned by k times 2 asin x
+    # it is G^k|s>: its components are those of the (start, target)
+    # coordinates, and start_target gives those coordinates back
+    def assert_state(state, coords):
+        np.testing.assert_allclose([state.along_w, state.along_u], basis(x) @ coords, rtol=0.0, atol=BLOCK_TOL)
+        np.testing.assert_allclose(state.start_target(x), coords, rtol=0.0, atol=BLOCK_TOL)
+
     for t in times(x, energy):
-        state = PlaneCoords.rotated(x, rotation_rate(x, energy) * t)
-        (c_sigma, _), (c_w, _) = h_evolution_closed_form(x, energy, t)
-        assert state.c_sigma == pytest.approx(c_sigma, abs=BLOCK_TOL)
-        assert state.c_w == pytest.approx(c_w, abs=BLOCK_TOL)
+        propagator = np.asarray(h_evolution_closed_form(x, energy, t))
+        assert_state(PlaneCoords.rotated(x, rotation_rate(x, energy) * t), propagator[:, 0])
     coords = np.array([1.0, 0.0])
     for k in range(6):
-        state = PlaneCoords.rotated(x, 2.0 * k * math.asin(x))
-        np.testing.assert_allclose([state.c_sigma, state.c_w], coords, rtol=0.0, atol=BLOCK_TOL)
+        assert_state(PlaneCoords.rotated(x, 2.0 * k * math.asin(x)), coords)
         coords = np.asarray(grover_on_plane(x)) @ coords

@@ -197,6 +197,10 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(["theorem_main"], (6, 2))
 
+    def test_rejects_duplicate_names(self):
+        with pytest.raises(ValueError, match=r"\['corollary'\] given more than once"):
+            run_sweep(["corollary", "theorem_main", "corollary"], (2, 3))
+
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError) as excinfo:
             run_sweep(["bogus"], (2, 4))
